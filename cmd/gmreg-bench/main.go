@@ -22,7 +22,7 @@
 // the server's calibrated capacity, reports p50/p99/p99.9 plus the max
 // sustainable QPS at the -slo latency objective, embeds the steady-state
 // allocs/request probe, and writes BENCH_serveload.json; the dataparallel
-// experiment sweeps dist.Network replica
+// experiment sweeps train.Network replica
 // counts × prefetch and writes BENCH_dataparallel.json; the distnet
 // experiment sweeps multi-process trainer counts over loopback TCP
 // (coordinator + R trainers, final loss checked bit-equal to the sequential

@@ -149,25 +149,14 @@ func priorLabel(f string) string {
 	return f
 }
 
-// effectiveShard mirrors the trainers' shard-size defaulting: an explicit
-// -shard wins; otherwise dist.Network and the distnet coordinator split the
-// batch over the replica/trainer count, and the sequential trainer runs the
-// whole batch as one shard. (The trainers additionally clamp to the batch
-// after it is clamped to the dataset size; tiny datasets should pin -shard.)
+// effectiveShard is train.ShardSize over the run's data-parallel width: the
+// -trainers quorum for the coordinator, else the -workers replica count.
+// (The trainer clamps the batch to the dataset size first; tiny datasets
+// should pin -shard.)
 func effectiveShard(f runFlags) int {
-	width := 1
-	switch {
-	case f.Coordinator != "":
+	width := max(1, f.Workers)
+	if f.Coordinator != "" {
 		width = f.Trainers
-	case f.Workers > 1:
-		width = f.Workers
 	}
-	ss := f.Shard
-	if ss <= 0 {
-		ss = (f.Batch + width - 1) / width
-	}
-	if ss > f.Batch {
-		ss = f.Batch
-	}
-	return ss
+	return train.ShardSize(f.Shard, f.Batch, width)
 }

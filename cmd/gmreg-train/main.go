@@ -24,11 +24,11 @@
 // -reg are mutually exclusive; -resume rejects checkpoints trained under a
 // different prior family.
 //
-// -workers N (CIFAR only) trains data-parallel via dist.Network: each
-// minibatch is sharded across N model replicas running concurrently, with a
-// deterministic gradient reduction (see DESIGN.md §8). -shard pins the
-// micro-shard size so results are bit-identical across worker counts;
-// -prefetch overlaps batch assembly with compute.
+// -workers N (network models) trains data-parallel with N in-process model
+// replicas of train.Network: each minibatch is sharded across the replicas
+// running concurrently, with a deterministic gradient fold (see DESIGN.md
+// §8). -shard pins the micro-shard size so results are bit-identical across
+// worker counts; -prefetch overlaps batch assembly with compute.
 //
 // -coordinator ADDR runs the process as the multi-process distributed
 // coordinator (DESIGN.md §13): it listens on ADDR, waits for -trainers
@@ -77,7 +77,6 @@ import (
 	"gmreg/internal/cli"
 	"gmreg/internal/core"
 	"gmreg/internal/data"
-	"gmreg/internal/dist"
 	"gmreg/internal/distnet"
 	"gmreg/internal/models"
 	"gmreg/internal/nn"
@@ -158,6 +157,7 @@ func main() {
 		Epochs:       *epochs,
 		BatchSize:    *batch,
 		ShardSize:    *shard,
+		Replicas:     *workers,
 		Seed:         *seed,
 		Prefetch:     *prefetch,
 	}
@@ -180,9 +180,12 @@ func main() {
 		fatal(err)
 	}
 	installSignalStop(&cfg)
-	net := netConfig{Coordinator: *coord, Trainers: *trainers, Workers: *workers}
-	if pol != nil {
-		net.SnapshotDir = pol.Dir
+	var net *distnet.Config // nil: train in process
+	if *coord != "" {
+		net = &distnet.Config{Addr: *coord, MinTrainers: *trainers}
+		if pol != nil {
+			net.SnapshotDir = pol.Dir
+		}
 	}
 	if *csvPath != "" {
 		if err := runCSV(*csvPath, *label, cfg, factory, *seed); err != nil {
@@ -207,50 +210,34 @@ func main() {
 	}
 }
 
-// netConfig selects how a network model trains: sequential, in-process
-// data-parallel (-workers), or multi-process distributed (-coordinator).
-type netConfig struct {
-	Coordinator string
-	Trainers    int
-	Workers     int
-	SnapshotDir string
-}
-
-// trainNetwork dispatches a network training job according to the -workers/
-// -coordinator flags; net must match spec.
-func trainNetwork(netw *nn.Network, set *data.ImageSet, spec models.Spec, cfg train.SGDConfig, factory gmreg.Factory, nc netConfig) (*train.NetworkResult, error) {
-	switch {
-	case nc.Coordinator != "":
-		fmt.Printf("coordinator: listening on %s, waiting for %d trainer(s)\n", nc.Coordinator, nc.Trainers)
-		stats := &distnet.RunStats{}
-		res, err := distnet.Coordinate(netw, set, distnet.Config{
-			Addr:        nc.Coordinator,
-			Spec:        spec,
-			MinTrainers: nc.Trainers,
-			Prefetch:    cfg.Prefetch,
-			SGD:         cfg,
-			SnapshotDir: nc.SnapshotDir,
-			Stats:       stats,
-		}, factory)
-		if err != nil {
-			return nil, err
+// trainNetwork runs a network training job in process with cfg.Replicas
+// replicas, or as the coordinator of dc's distributed job (dc's Spec, SGD
+// and Stats are filled in here); net must match spec.
+func trainNetwork(netw *nn.Network, set *data.ImageSet, spec models.Spec, cfg train.SGDConfig, factory gmreg.Factory, dc *distnet.Config) (*train.NetworkResult, error) {
+	if dc == nil {
+		if cfg.Replicas > 1 {
+			fmt.Printf("data-parallel: %d replicas\n", cfg.Replicas)
 		}
-		fmt.Printf("distributed: %d joins, %d deaths, %d re-issued steps, %d B in, %d B out\n",
-			stats.Joins, stats.Deaths, stats.StepRedos, stats.BytesIn, stats.BytesOut)
-		return res, nil
-	case nc.Workers > 1:
-		fmt.Printf("data-parallel: %d replicas\n", nc.Workers)
-		return dist.Network(netw, set, dist.NetConfig{Replicas: nc.Workers, Prefetch: cfg.Prefetch, SGD: cfg}, factory)
-	default:
 		return train.Network(netw, set, cfg, factory)
 	}
+	fmt.Printf("coordinator: listening on %s, waiting for %d trainer(s)\n", dc.Addr, dc.MinTrainers)
+	stats := &distnet.RunStats{}
+	job := *dc
+	job.Spec, job.SGD, job.Stats = spec, cfg, stats
+	res, err := distnet.Coordinate(netw, set, job, factory)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("distributed: %d joins, %d deaths, %d re-issued steps, %d B in, %d B out\n",
+		stats.Joins, stats.Deaths, stats.StepRedos, stats.BytesIn, stats.BytesOut)
+	return res, nil
 }
 
 // runTabularMLP trains the shared-spec MLP on a tabular dataset through the
 // network trainers, so the same job can run sequentially, data-parallel, or
 // across processes with byte-comparable checkpoints (the distnet CI smoke
 // job relies on this path).
-func runTabularMLP(name string, cfg train.SGDConfig, factory gmreg.Factory, seed uint64, hidden int, nc netConfig) error {
+func runTabularMLP(name string, cfg train.SGDConfig, factory gmreg.Factory, seed uint64, hidden int, dc *distnet.Config) error {
 	var task *data.Task
 	if name == "hosp-fa" {
 		task = data.GenerateHospFA(data.DefaultHospFA(), seed)
@@ -269,7 +256,7 @@ func runTabularMLP(name string, cfg train.SGDConfig, factory gmreg.Factory, seed
 	}
 	fmt.Printf("dataset %s: %d samples × %d features\n", task.Name, set.N, set.C)
 	fmt.Printf("model mlp: %d regularized parameters\n", netw.NumParams(true))
-	res, err := trainNetwork(netw, set, spec, cfg, factory, nc)
+	res, err := trainNetwork(netw, set, spec, cfg, factory, dc)
 	if err != nil {
 		return err
 	}
@@ -408,7 +395,7 @@ func sinkOrNil(j *obs.JSONL) gmreg.Sink {
 // precision; storePath names the store the informative reference checkpoint
 // is loaded from.
 func buildFactory(name, prior string, beta, gamma float64, storePath string, sink gmreg.Sink) (gmreg.Factory, error) {
-	opts := []gmreg.Option{gmreg.WithGamma(gamma)}
+	opts := []gmreg.Option{gmreg.WithConfig(func(c *gmreg.Config) { c.Gamma = gamma })}
 	if sink != nil {
 		opts = append(opts, gmreg.WithSink(sink))
 	}
@@ -526,7 +513,7 @@ func trainAndReport(task *data.Task, cfg train.SGDConfig, factory gmreg.Factory,
 // gmSnapshotPath is the -save-gm destination ("" = disabled).
 var gmSnapshotPath string
 
-func runCIFAR(model string, cfg train.SGDConfig, factory gmreg.Factory, trainN, testN, size int, seed uint64, nc netConfig) error {
+func runCIFAR(model string, cfg train.SGDConfig, factory gmreg.Factory, trainN, testN, size int, seed uint64, dc *distnet.Config) error {
 	spec := data.DefaultCIFAR(trainN, testN)
 	spec.Size = size
 	trainSet, testSet := data.GenerateCIFAR(spec, seed)
@@ -539,7 +526,7 @@ func runCIFAR(model string, cfg train.SGDConfig, factory gmreg.Factory, trainN, 
 		cfg.Augment = true
 	}
 	fmt.Printf("model %s: %d regularized parameters\n", model, net.NumParams(true))
-	res, err := trainNetwork(net, trainSet, mspec, cfg, factory, nc)
+	res, err := trainNetwork(net, trainSet, mspec, cfg, factory, dc)
 	if err != nil {
 		return err
 	}

@@ -35,13 +35,14 @@ func ExampleNewGM() {
 	// mass split: 13.1% / 86.9%
 }
 
-// GMFactory wires one adaptive regularizer per layer with a shared recipe;
-// options pick γ from the paper's grid or change the lazy-update schedule.
-func ExampleGMFactory() {
-	factory := gmreg.GMFactory(
-		gmreg.WithGamma(0.002),
-		gmreg.WithLazyUpdate(2, 50, 50),
-	)
+// New wires one adaptive regularizer per layer with a shared recipe;
+// WithConfig picks γ from the paper's grid or changes the lazy-update
+// schedule.
+func ExampleNew() {
+	factory := gmreg.New(gmreg.WithConfig(func(c *gmreg.Config) {
+		c.Gamma = 0.002
+		c.WarmupEpochs, c.RegInterval, c.GMInterval = 2, 50, 50
+	}))
 	r := factory(89440, 0.1) // e.g. Alex-CIFAR-10's flattened weights
 	fmt.Println(r.Name())
 	// Output:

@@ -52,7 +52,7 @@ func main() {
 
 	run("no regularization", gmreg.NoReg())
 	run("L2 Reg (β=10)", gmreg.L2(10))
-	gmRes := run("GM Reg (adaptive)", gmreg.GMFactory(gmreg.WithGamma(0.02)))
+	gmRes := run("GM Reg (adaptive)", gmreg.New(gmreg.WithConfig(func(c *gmreg.Config) { c.Gamma = 0.02 })))
 
 	fmt.Println("\nlearned per-layer mixtures (Table IV's structure):")
 	var names []string

@@ -1,10 +1,10 @@
 // GEMINI pipeline: the paper's Fig. 1 end-to-end healthcare analytics flow,
 // miniature edition. Raw (dirty) hospital data is cleaned (DICE role),
 // preprocessed, explored with cohort queries (CohAna role), used to train a
-// GM-regularized readmission model on data-parallel workers (SINGA role,
-// with the GM Reg tool plugged into the parameter server exactly as the
-// paper's red box shows), and the learned regularizer is checkpointed into
-// an immutable versioned store (Forkbase role).
+// GM-regularized readmission model with minibatch SGD (SINGA role, with the
+// GM Reg tool applied once per global step at the update, where the paper's
+// red box plugs it into the parameter server), and the learned regularizer
+// is checkpointed into an immutable versioned store (Forkbase role).
 //
 // Run with: go run ./examples/gemini
 package main
@@ -18,7 +18,6 @@ import (
 	"gmreg/internal/cohort"
 	"gmreg/internal/core"
 	"gmreg/internal/data"
-	"gmreg/internal/dist"
 	"gmreg/internal/epic"
 	"gmreg/internal/reg"
 	"gmreg/internal/store"
@@ -92,27 +91,24 @@ func main() {
 			s.Label, s.Count, s.MeanOutcome, s.StdOutcome)
 	}
 
-	// ── Stage 4: SINGA — data-parallel training with GM Reg at the server.
+	// ── Stage 4: SINGA — minibatch SGD with GM Reg at the server update.
 	rng := tensor.NewRNG(7)
 	trainRows, testRows := data.StratifiedSplit(task.Y, 0.8, rng)
-	cfg := dist.Config{
-		Workers: 4,
-		SGD: train.SGDConfig{
-			LearningRate: 0.1,
-			Momentum:     0.9,
-			Epochs:       80,
-			BatchSize:    32,
-			Seed:         9,
-		},
+	cfg := train.SGDConfig{
+		LearningRate: 0.1,
+		Momentum:     0.9,
+		Epochs:       80,
+		BatchSize:    32,
+		Seed:         9,
 	}
-	fit, err := dist.LogReg(task, trainRows, cfg, func(m int, initStd float64) reg.Regularizer {
+	fit, err := train.LogReg(task, trainRows, cfg, func(m int, initStd float64) reg.Regularizer {
 		return core.MustNewGM(m, core.DefaultConfig(initStd))
 	})
 	if err != nil {
 		panic(err)
 	}
 	g := fit.Regularizer.(*core.GM)
-	fmt.Printf("\ntrained on %d workers in %.2fs\n", cfg.Workers, fit.History.TotalTime().Seconds())
+	fmt.Printf("\ntrained in %.2fs\n", fit.History.TotalTime().Seconds())
 	fmt.Printf("test accuracy: %.3f\n", fit.Model.Accuracy(task.X, task.Y, testRows))
 	fmt.Printf("learned regularizer: %s\n", g)
 

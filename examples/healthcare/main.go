@@ -45,7 +45,7 @@ func main() {
 		{"L2 Reg (β=1)", gmreg.L2(1)},
 		{"Elastic-net Reg", gmreg.ElasticNet(1, 0.5)},
 		{"Huber Reg", gmreg.Huber(1, 0.1)},
-		{"GM Reg (adaptive)", gmreg.GMFactory()},
+		{"GM Reg (adaptive)", gmreg.New()},
 	}
 	var gm *core.GM
 	for _, r := range runs {

@@ -202,15 +202,14 @@ func InformativePriorFromStore(path, key string, tau float64) (PriorSpec, error)
 	return PriorSpec{Family: FamilyInformative, Tau: tau, Means: means}, nil
 }
 
-// Option configures New (and its deprecated alias GMFactory). One option
-// vocabulary covers the prior family (WithPrior), the per-group
-// hyper-parameters (WithConfig and its shorthands) and the observability
-// hooks (WithSink, WithMetrics), so a fully instrumented factory reads as
-// one coherent call:
+// Option configures New. One option vocabulary covers the prior family
+// (WithPrior), the per-group hyper-parameters (WithConfig) and the
+// observability hooks (WithSink, WithMetrics), so a fully instrumented
+// factory reads as one coherent call:
 //
 //	gmreg.New(
 //		gmreg.WithPrior(gmreg.LaplacePrior()),
-//		gmreg.WithGamma(0.002),
+//		gmreg.WithConfig(func(c *gmreg.Config) { c.Gamma = 0.002 }),
 //		gmreg.WithSink(sink),      // merge events
 //		gmreg.WithMetrics(reg),    // E/M-step latency histograms
 //	)
@@ -377,38 +376,6 @@ func (c *meanCursor) next(m int) []float64 {
 		}
 	}
 	panic(fmt.Sprintf("gmreg: informative prior has no reference group with %d dims (reference has %d groups)", m, n))
-}
-
-// GMFactory returns a Factory producing one adaptive GM per parameter group.
-//
-// Deprecated: GMFactory is New without a WithPrior option; call New. Kept so
-// pre-redesign call sites compile unchanged.
-func GMFactory(opts ...Option) Factory { return New(opts...) }
-
-// WithGamma sets γ (prior rate b = γ·M) on a GMFactory.
-//
-// Deprecated: thin wrapper over WithConfig, kept for existing call sites.
-func WithGamma(gamma float64) Option {
-	return WithConfig(func(c *Config) { c.Gamma = gamma })
-}
-
-// WithLazyUpdate sets the lazy-update schedule: E warm-up epochs, greg every
-// im iterations, GM parameters every ig iterations.
-//
-// Deprecated: thin wrapper over WithConfig, kept for existing call sites.
-func WithLazyUpdate(e, im, ig int) Option {
-	return WithConfig(func(c *Config) {
-		c.WarmupEpochs = e
-		c.RegInterval = im
-		c.GMInterval = ig
-	})
-}
-
-// WithInit selects the GM precision initialization method.
-//
-// Deprecated: thin wrapper over WithConfig, kept for existing call sites.
-func WithInit(m InitMethod) Option {
-	return WithConfig(func(c *Config) { c.Init = m })
 }
 
 // Fixed-baseline factories, for comparison runs. Each baseline is expressed

@@ -22,7 +22,11 @@ func TestFacadeGMRoundTrip(t *testing.T) {
 }
 
 func TestGMFactoryOptions(t *testing.T) {
-	f := GMFactory(WithGamma(0.05), WithLazyUpdate(3, 10, 20), WithInit(InitProportional))
+	f := New(WithConfig(func(c *Config) {
+		c.Gamma = 0.05
+		c.WarmupEpochs, c.RegInterval, c.GMInterval = 3, 10, 20
+		c.Init = InitProportional
+	}))
 	r := f(200, 0.1)
 	g, ok := r.(*GM)
 	if !ok {

@@ -10,7 +10,6 @@ import (
 	"gmreg/internal/cohort"
 	"gmreg/internal/core"
 	"gmreg/internal/data"
-	"gmreg/internal/dist"
 	"gmreg/internal/epic"
 	"gmreg/internal/store"
 	"gmreg/internal/tensor"
@@ -18,7 +17,7 @@ import (
 )
 
 // TestGeminiPipelineEndToEnd runs the whole Fig. 1 flow with assertions at
-// every stage: clean → encode → summarize → cohort → distributed GM training
+// every stage: clean → encode → summarize → cohort → GM-regularized training
 // → versioned snapshot → restore.
 func TestGeminiPipelineEndToEnd(t *testing.T) {
 	spec := data.UCISpecByNameMust("hepatitis")
@@ -90,12 +89,9 @@ func TestGeminiPipelineEndToEnd(t *testing.T) {
 
 	rng := tensor.NewRNG(3)
 	trainRows, testRows := data.StratifiedSplit(task.Y, 0.8, rng)
-	fit, err := dist.LogReg(task, trainRows, dist.Config{
-		Workers: 3,
-		SGD: train.SGDConfig{
-			LearningRate: 0.1, Momentum: 0.9, Epochs: 40, BatchSize: 32, Seed: 5,
-		},
-	}, gmreg.GMFactory())
+	fit, err := train.LogReg(task, trainRows, train.SGDConfig{
+		LearningRate: 0.1, Momentum: 0.9, Epochs: 40, BatchSize: 32, Seed: 5,
+	}, gmreg.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +123,8 @@ func TestGeminiPipelineEndToEnd(t *testing.T) {
 }
 
 // TestFacadeAllRegularizersOnDistributedTrainer checks every public factory
-// through the distributed path.
+// through train.LogReg, the one logistic trainer (synchronous data-parallel
+// SGD is the same minibatch update, DESIGN.md §8).
 func TestFacadeAllRegularizersOnDistributedTrainer(t *testing.T) {
 	task, err := data.LoadUCI("climate-model", 4)
 	if err != nil {
@@ -143,13 +140,11 @@ func TestFacadeAllRegularizersOnDistributedTrainer(t *testing.T) {
 		gmreg.L2(0.5),
 		gmreg.ElasticNet(0.5, 0.5),
 		gmreg.Huber(0.5, 0.1),
-		gmreg.GMFactory(gmreg.WithGamma(0.002)),
+		gmreg.New(gmreg.WithConfig(func(c *gmreg.Config) { c.Gamma = 0.002 })),
 	}
 	for _, f := range factories {
-		res, err := dist.LogReg(task, rows, dist.Config{
-			Workers: 2,
-			SGD:     train.SGDConfig{LearningRate: 0.1, Momentum: 0.9, Epochs: 10, BatchSize: 32, Seed: 2},
-		}, f)
+		res, err := train.LogReg(task, rows,
+			train.SGDConfig{LearningRate: 0.1, Momentum: 0.9, Epochs: 10, BatchSize: 32, Seed: 2}, f)
 		if err != nil {
 			t.Fatalf("%s: %v", res.Regularizer.Name(), err)
 		}

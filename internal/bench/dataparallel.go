@@ -7,14 +7,14 @@ import (
 	"os"
 
 	"gmreg/internal/data"
-	"gmreg/internal/dist"
 	"gmreg/internal/models"
 	"gmreg/internal/tensor"
 	"gmreg/internal/train"
 )
 
-// The dataparallel experiment measures dist.Network on an Alex-shaped
-// workload, sweeping replica count × prefetch with a pinned ShardSize so
+// The dataparallel experiment measures train.Network's in-process replicas
+// on an Alex-shaped workload, sweeping replica count × prefetch with a
+// pinned ShardSize so
 // every configuration performs the identical floating-point work — the
 // final-loss column must therefore agree exactly across all rows, turning
 // the sweep into a determinism check as well as a scaling curve. Speedup
@@ -82,20 +82,18 @@ func RunDataParallel(w io.Writer, s Scale) (*DataParallelReport, error) {
 
 	for _, replicas := range []int{1, 2, 4, 8} {
 		for _, prefetch := range []bool{false, true} {
-			cfg := dist.NetConfig{
-				Replicas: replicas,
-				Prefetch: prefetch,
-				SGD: train.SGDConfig{
-					LearningRate: 0.001,
-					Momentum:     0.9,
-					Epochs:       epochs,
-					BatchSize:    batch,
-					Seed:         s.Seed,
-					ShardSize:    rep.ShardSize,
-				},
+			cfg := train.SGDConfig{
+				LearningRate: 0.001,
+				Momentum:     0.9,
+				Epochs:       epochs,
+				BatchSize:    batch,
+				Seed:         s.Seed,
+				ShardSize:    rep.ShardSize,
+				Replicas:     replicas,
+				Prefetch:     prefetch,
 			}
 			net := models.AlexCIFAR10(spec.Channels, size, tensor.NewRNG(s.Seed))
-			res, err := dist.Network(net, trainSet, cfg, gmDeepFactory(s, nil))
+			res, err := train.Network(net, trainSet, cfg, gmDeepFactory(s, nil))
 			if err != nil {
 				return nil, err
 			}

@@ -42,7 +42,7 @@ func Store(fs *flag.FlagSet, usage string) *string {
 // Workers registers the canonical -workers flag (data-parallel training
 // replicas; 1 = sequential).
 func Workers(fs *flag.FlagSet) *int {
-	return fs.Int("workers", 1, "model replicas for data-parallel training (1 = sequential)")
+	return fs.Int("workers", 1, "in-process model replicas for data-parallel network training (1 = sequential; -coordinator uses -trainers instead)")
 }
 
 // Shard registers the canonical -shard flag (micro-shard size).

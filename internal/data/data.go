@@ -61,23 +61,6 @@ type RawTable struct {
 // NumSamples returns the row count.
 func (r *RawTable) NumSamples() int { return len(r.Y) }
 
-// EncodedWidth returns the feature count after one-hot encoding: the sum of
-// categorical cardinalities (plus one missing class per feature when
-// present) plus the continuous column count.
-func (r *RawTable) EncodedWidth() int {
-	w := 0
-	for _, c := range r.Cards {
-		w += c
-		if r.HasMissingCat {
-			w++
-		}
-	}
-	if len(r.Cont) > 0 {
-		w += len(r.Cont[0])
-	}
-	return w
-}
-
 // Encoder is the fitted preprocessing pipeline of §V-A: one-hot encoding for
 // categorical features (missing values become a separate class), mean
 // imputation and zero-mean/unit-variance standardization for continuous

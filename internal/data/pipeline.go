@@ -119,9 +119,6 @@ func newStream(set *ImageSet, cfg StreamConfig) *Stream {
 	return s
 }
 
-// NumBatches returns the number of batches per epoch.
-func (s *Stream) NumBatches() int { return s.nBatches }
-
 // fill gathers the next batch of the sequence into slot si. ok is false
 // once the sequence is exhausted.
 func (s *Stream) fill(si int) (x *tensor.Tensor, y []int, ok bool) {

@@ -2,10 +2,10 @@ package data
 
 // TabularImageSet wraps a preprocessed tabular Task as an ImageSet with one
 // "channel" per feature and 1×1 spatial extent. The network training stack
-// (train.Network, dist.Network, distnet) and its batch pipeline operate on
-// ImageSets; this adapter lets the tabular datasets run through network
-// models (models.MLP flattens the [n, features, 1, 1] batches back to
-// [n, features]). The feature values are copied once; batching shuffles and
+// (train.Network with or without replicas, distnet) and its batch pipeline
+// operate on ImageSets; this adapter lets the tabular datasets run through
+// network models (models.MLP flattens the [n, features, 1, 1] batches back
+// to [n, features]). The feature values are copied once; batching shuffles and
 // gathers exactly as for images, so a tabular run is as deterministic as an
 // image run at equal Seed.
 func TabularImageSet(t *Task) *ImageSet {

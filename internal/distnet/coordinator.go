@@ -1,9 +1,12 @@
 package distnet
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"net"
 	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,16 +28,13 @@ type Config struct {
 	// Welcome frame so all processes build the identical network.
 	Spec models.Spec
 	// MinTrainers is how many trainers must join before the first step (≥ 1).
-	// It is also the default shard partition width: when SGD.ShardSize is 0
-	// it defaults to ceil(BatchSize/MinTrainers), mirroring dist.NetConfig —
+	// It is also the job's data-parallel width: when SGD.ShardSize is 0 it
+	// defaults to ceil(BatchSize/MinTrainers), as for in-process replicas —
 	// pin ShardSize explicitly to make runs bit-identical across trainer
 	// counts and equal to the sequential trainer at the same ShardSize.
 	MinTrainers int
-	// Prefetch assembles the next global minibatch on a background goroutine
-	// while trainers compute.
-	Prefetch bool
-	// SGD is the optimizer configuration, exactly as for train.Network and
-	// dist.Network. SGD.Prefetch is ignored here (use Config.Prefetch).
+	// SGD is the optimizer configuration, exactly as for train.Network
+	// (SGD.Replicas is ignored: the trainers are the replicas).
 	SGD train.SGDConfig
 	// HeartbeatTimeout bounds how long the coordinator waits for a trainer's
 	// reply to a Step before declaring it dead. Default 30s.
@@ -83,42 +83,35 @@ type joinReq struct {
 	name string
 }
 
-// coordinator bundles the per-run state the step loop threads through.
+// coordinator is the TCP member set of train.NetworkOver: the roster of
+// trainer processes plus the per-run state its steps thread through.
 type coordinator struct {
 	cfg   Config
 	ros   *roster
 	stats *RunStats
 	joins chan joinReq
+	bns   []*nn.BatchNorm // the authoritative network's
+	seq   int64           // global steps issued; trainers echo it in Grads
 }
 
 // Coordinate runs the coordinator side of multi-process synchronous
-// data-parallel SGD: it listens on cfg.Addr, admits trainers (at start and
-// at global-step boundaries), scatters each global minibatch as pre-scaled
-// micro-shards over the live membership, folds the returned shard gradients
-// in canonical ascending shard order into the single shared train.Optimizer
-// step, and broadcasts the updated weights with the next Step frame.
+// data-parallel SGD: it listens on cfg.Addr, waits for the MinTrainers
+// quorum, runs train.NetworkOver with the trainer roster as its members
+// (see Step), and tells the trainers when the job is done.
 //
-// The shard partition is fixed by SGD.ShardSize, per-shard gradients are
-// computed with the same kernel numerics (the Welcome frame pins the
-// deterministic-reduction tunables), and the fold order never depends on
-// which trainer computed a shard — so an R-trainer run is bit-identical to
-// in-process dist.Network at the same ShardSize (including ghost-batch-norm
-// statistics at fixed membership), and to sequential train.Network in
-// learned weights. When a trainer joins, says goodbye, or dies (connection
-// error or heartbeat timeout), the coordinator snapshots the training
-// state, re-partitions the step's unfinished shards over the survivors, and
-// resumes — shard gradients are pure functions of (weights, shard data), so
-// the re-issued work reproduces the exact bytes the dead trainer would have
-// sent and the final weights stay byte-equal to an undisturbed run.
+// The shard partition is fixed by SGD.ShardSize, trainers compute with the
+// coordinator's kernel numerics (the Welcome frame pins them), and the
+// fold order never depends on which trainer computed a shard — so an
+// R-trainer run is bit-identical to train.Network with R in-process
+// replicas at the same ShardSize (ghost-batch-norm statistics included, at
+// fixed membership), and to the sequential run in learned weights, across
+// joins, leaves and deaths.
 //
 // net must be built from cfg.Spec (same architecture the trainers build).
 // The result's Net is the authoritative network (the one passed in).
 func Coordinate(netw *nn.Network, trainSet *data.ImageSet, cfg Config, factory reg.Factory) (*train.NetworkResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if trainSet.N == 0 {
-		return nil, fmt.Errorf("distnet: empty training set")
 	}
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = 30 * time.Second
@@ -134,37 +127,6 @@ func Coordinate(netw *nn.Network, trainSet *data.ImageSet, cfg Config, factory r
 		stats = &RunStats{}
 	}
 
-	batch := cfg.SGD.BatchSize
-	if batch > trainSet.N {
-		batch = trainSet.N
-	}
-	nBatches := (trainSet.N + batch - 1) / batch
-	ss := cfg.SGD.ShardSize
-	if ss <= 0 {
-		ss = (batch + cfg.MinTrainers - 1) / cfg.MinTrainers
-	}
-	if ss > batch {
-		ss = batch
-	}
-	maxShards := (batch + ss - 1) / ss
-
-	opt := train.NewOptimizer(netw.Params(), factory, nBatches, 1/float64(trainSet.N))
-	authParams := opt.Params
-	authBNs := netw.BatchNorms()
-	bank := train.NewGradBank(authParams, maxShards)
-	losses := make([]float64, maxShards)
-
-	hist := &train.History{}
-	ckpt := train.NewCkptRunner(cfg.SGD.Ckpt, cfg.SGD.Sink)
-	startEpoch := 0
-	if cfg.SGD.Ckpt != nil && cfg.SGD.Ckpt.Resume != nil {
-		if err := train.RestoreNetwork(cfg.SGD.Ckpt.Resume, cfg.SGD, ss, netw, opt, hist); err != nil {
-			return nil, err
-		}
-		startEpoch = cfg.SGD.Ckpt.Resume.Epoch
-	}
-	capture := func() *train.State { return train.CaptureNetwork(cfg.SGD, ss, netw, opt, hist) }
-
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("distnet: listen: %w", err)
@@ -179,6 +141,7 @@ func Coordinate(netw *nn.Network, trainSet *data.ImageSet, cfg Config, factory r
 		ros:   newRoster(cfg.SGD.Sink, stats),
 		stats: stats,
 		joins: make(chan joinReq, 64),
+		bns:   netw.BatchNorms(),
 	}
 	acceptDone := make(chan struct{})
 	go c.acceptLoop(ln, acceptDone)
@@ -212,72 +175,15 @@ func Coordinate(netw *nn.Network, trainSet *data.ImageSet, cfg Config, factory r
 		}
 	}
 
-	batches := data.NewBatches(trainSet, data.StreamConfig{
-		Batch:       batch,
-		Epochs:      cfg.SGD.Epochs,
-		Seed:        cfg.SGD.Seed,
-		Augment:     cfg.SGD.Augment,
-		Prefetch:    cfg.Prefetch,
-		SkipBatches: startEpoch * nBatches,
-	})
-	defer batches.Close()
-
-	tel := train.NewTelemetry(cfg.SGD.Sink, cfg.MinTrainers)
-	start := time.Now()
-	completed := startEpoch
-	var seq int64
-	for epoch := startEpoch; epoch < cfg.SGD.Epochs; epoch++ {
-		lr := cfg.SGD.LRAt(epoch)
-		var epochLoss float64
-		for b := 0; b < nBatches; b++ {
-			// Step boundary: admit any trainers that joined meanwhile.
-			c.admitPending()
-			x, y := batches.Next()
-			n := x.Shape[0]
-			shards := (n + ss - 1) / ss
-			seq++
-			if err := c.runStep(seq, epoch, n, ss, shards, x, y, authParams, authBNs, bank, losses, capture); err != nil {
-				return nil, err
-			}
-			var t0 time.Time
-			if tel != nil {
-				t0 = time.Now()
-			}
-			bank.Reduce(authParams, shards)
-			if tel != nil {
-				tel.AddFold(time.Since(t0))
-				foldSeconds.Observe(time.Since(t0).Seconds())
-			}
-			var batchLoss float64
-			for s := 0; s < shards; s++ {
-				batchLoss += losses[s]
-			}
-			epochLoss += batchLoss
-			// Server-side regularizers + momentum, once per global step.
-			opt.Step(lr, cfg.SGD.Momentum)
-		}
-		meanLoss := epochLoss / float64(nBatches)
-		hist.EpochLoss = append(hist.EpochLoss, meanLoss)
-		hist.EpochTime = append(hist.EpochTime, time.Since(start))
-		tel.Epoch(epoch, meanLoss, lr, time.Since(start), opt.Regs)
-		completed = epoch + 1
-		if err := ckpt.AfterEpoch(completed, capture); err != nil {
-			return nil, err
-		}
-		if cfg.SGD.AfterEpoch != nil && !cfg.SGD.AfterEpoch(epoch, meanLoss) {
-			break
-		}
-	}
-	if completed == cfg.SGD.Epochs {
-		if err := ckpt.Finish(completed, capture); err != nil {
-			return nil, err
-		}
+	res, err := train.NetworkOver(netw, trainSet, cfg.SGD, factory, c)
+	if err != nil {
+		return nil, err
 	}
 	// Graceful shutdown: tell every trainer the job is done.
 	for _, m := range c.ros.live() {
-		c.send(m, FrameDone, Done{Epochs: completed})
+		c.send(m, FrameDone, Done{Epochs: len(res.History.EpochLoss)})
 	}
-	return &train.NetworkResult{Net: netw, Regs: opt.Regs, History: hist}, nil
+	return res, nil
 }
 
 // acceptLoop accepts trainer connections and completes the Hello half of
@@ -341,36 +247,42 @@ func (c *coordinator) admitPending() {
 	}
 }
 
-// runStep drives one global step to completion: scatter the pending shards
-// over the live membership, collect shard gradients in ascending slot
-// order, and on any membership change snapshot the training state,
-// re-partition the still-pending shards over the survivors, and retry until
-// every shard of the step is folded. Weights are identical across retries
-// within a step and shard gradients are pure functions of (weights, shard
-// data), so the retried work is byte-equal to what the dead trainer would
-// have produced.
-func (c *coordinator) runStep(seq int64, epoch, n, ss, shards int, x *tensor.Tensor, y []int,
-	authParams []*nn.Param, authBNs []*nn.BatchNorm, bank *train.GradBank, losses []float64,
-	capture func() *train.State) error {
+// Width is the job's data-parallel width: the shard size defaults from the
+// quorum, not from whoever happens to be live.
+func (c *coordinator) Width() int { return c.cfg.MinTrainers }
 
-	params := make([][]float64, len(authParams))
-	for i, p := range authParams {
+// Step drives one global step to completion: admit trainers that joined
+// since the last step, scatter the pending shards over the live
+// membership, collect shard gradients in ascending slot order, and on any
+// membership change snapshot the training state, re-partition the
+// still-pending shards over the survivors, and retry until every shard of
+// the step is in the bank. Weights are identical across retries within a
+// step and shard gradients are pure functions of (weights, shard data), so
+// the retried work is byte-equal to what the dead trainer would have
+// produced.
+func (c *coordinator) Step(s *train.Step) error {
+	c.admitPending()
+	c.seq++
+	seq := c.seq
+	n := s.X.Shape[0]
+	params := make([][]float64, len(s.Params))
+	for i, p := range s.Params {
 		params[i] = p.W
 	}
-	bnStats := make([][]float64, 0, 2*len(authBNs))
-	for _, bn := range authBNs {
+	bnStats := make([][]float64, 0, 2*len(c.bns))
+	for _, bn := range c.bns {
 		mean, variance := bn.Stats()
 		bnStats = append(bnStats, mean, variance)
 	}
 
-	pending := make(map[int]bool, shards)
-	for s := 0; s < shards; s++ {
-		pending[s] = true
+	pending := make(map[int]bool, s.Shards)
+	for sh := 0; sh < s.Shards; sh++ {
+		pending[sh] = true
 	}
 	// statsBySlot keeps the batch-norm running statistics from replies that
 	// carried at least one shard gradient — the ghost-batch-norm average is
-	// taken over exactly those members, ascending slot, mirroring
-	// dist.Network's replica average.
+	// taken over exactly those members, ascending slot, as over the
+	// in-process replicas that computed shards.
 	statsBySlot := map[int][][]float64{}
 
 	attempt := 0
@@ -387,7 +299,7 @@ func (c *coordinator) runStep(seq int64, epoch, n, ss, shards int, x *tensor.Ten
 			}
 			live = c.ros.live()
 		}
-		asg := c.ros.assign(shards, pending)
+		asg := c.ros.assign(s.Shards, pending)
 		// Scatter. A send failure removes the member; survivors still get
 		// their Step and the collect pass below narrows pending, so the next
 		// attempt only re-issues what is genuinely missing.
@@ -396,16 +308,15 @@ func (c *coordinator) runStep(seq int64, epoch, n, ss, shards int, x *tensor.Ten
 		for _, m := range live {
 			step := Step{
 				Seq:         seq,
-				Epoch:       epoch,
+				Epoch:       s.Epoch,
 				MemberEpoch: c.ros.epoch,
 				N:           n,
 				Params:      params,
 				Stats:       bnStats,
-				Shards:      buildShards(asg[m], ss, n, x, y),
+				Shards:      buildShards(asg[m], s.ShardSize, n, s.X, s.Y),
 			}
-			m.lastSeq = seq
 			if err := c.send(m, FrameStep, step); err != nil {
-				c.lost(m, "death", fmt.Sprintf("step write: %v", err), capture)
+				c.lost(m, "death", fmt.Sprintf("step write: %v", err), s.Capture)
 				lost = true
 				continue
 			}
@@ -419,18 +330,21 @@ func (c *coordinator) runStep(seq int64, epoch, n, ss, shards int, x *tensor.Ten
 				if err == errGoodbye {
 					action = "leave"
 				}
-				c.lost(m, action, err.Error(), capture)
+				c.lost(m, action, err.Error(), s.Capture)
 				lost = true
 				continue
+			}
+			if err := checkGrads(grads, s.Bank().ShardLen(), c.bns); err != nil {
+				return fmt.Errorf("distnet: step %d from %q: %w", seq, m.name, err)
 			}
 			for _, sg := range grads.Shards {
 				if !pending[sg.Index] {
 					continue // duplicate after a retry race; first fold wins
 				}
-				if err := bank.LoadShard(sg.Index, sg.Grad); err != nil {
+				if err := s.Bank().LoadShard(sg.Index, sg.Grad); err != nil {
 					return fmt.Errorf("distnet: step %d from %q: %w", seq, m.name, err)
 				}
-				losses[sg.Index] = sg.Loss
+				s.Losses[sg.Index] = sg.Loss
 				delete(pending, sg.Index)
 			}
 			if len(grads.Shards) > 0 {
@@ -442,38 +356,67 @@ func (c *coordinator) runStep(seq int64, epoch, n, ss, shards int, x *tensor.Ten
 		}
 	}
 
-	// Ghost batch norm: overwrite the authoritative running statistics with
-	// the mean over contributing members, ascending slot order.
-	if len(authBNs) > 0 && len(statsBySlot) > 0 {
+	foldSeconds.Observe(s.Fold().Seconds())
+	if len(c.bns) > 0 {
 		slots := make([]int, 0, len(statsBySlot))
 		for slot := range statsBySlot {
 			slots = append(slots, slot)
 		}
-		sortInts(slots)
-		inv := 1 / float64(len(slots))
-		for i, bn := range authBNs {
-			mean, variance := bn.Stats()
-			for j := range mean {
-				mean[j], variance[j] = 0, 0
-			}
-			for _, slot := range slots {
-				st := statsBySlot[slot]
-				if len(st) != 2*len(authBNs) {
-					return fmt.Errorf("distnet: step %d: trainer stats carry %d slices, want %d",
-						seq, len(st), 2*len(authBNs))
-				}
-				for j := range mean {
-					mean[j] += st[2*i][j]
-					variance[j] += st[2*i+1][j]
-				}
-			}
-			for j := range mean {
-				mean[j] *= inv
-				variance[j] *= inv
-			}
+		sort.Ints(slots)
+		members := make([][][]float64, len(slots))
+		for i, slot := range slots {
+			members[i] = statsBySlot[slot]
+		}
+		train.AverageStats(c.bns, members)
+	}
+	return nil
+}
+
+// ErrBadGrads marks a trainer's Grads frame whose contents do not fit the
+// job: a shard gradient or batch-norm statistics slice of the wrong
+// length, or a non-finite gradient, loss or statistic. The coordinator
+// rejects such a frame where it is decoded, before any of it reaches the
+// fold or the authoritative statistics.
+var ErrBadGrads = errors.New("distnet: malformed grads frame")
+
+// checkGrads validates a decoded Grads frame against the bank's shard
+// layout and the authoritative batch-norm channel counts.
+func checkGrads(g *Grads, shardLen int, bns []*nn.BatchNorm) error {
+	for _, sg := range g.Shards {
+		if len(sg.Grad) != shardLen {
+			return fmt.Errorf("%w: shard %d gradient has %d values, want %d",
+				ErrBadGrads, sg.Index, len(sg.Grad), shardLen)
+		}
+		if !allFinite(sg.Loss) || !allFinite(sg.Grad...) {
+			return fmt.Errorf("%w: shard %d carries a non-finite gradient or loss", ErrBadGrads, sg.Index)
+		}
+	}
+	if len(g.Shards) == 0 || len(bns) == 0 {
+		return nil
+	}
+	if len(g.Stats) != 2*len(bns) {
+		return fmt.Errorf("%w: stats carry %d slices, want %d", ErrBadGrads, len(g.Stats), 2*len(bns))
+	}
+	for i, st := range g.Stats {
+		mean, _ := bns[i/2].Stats()
+		if len(st) != len(mean) {
+			return fmt.Errorf("%w: stats slice %d has %d values, batch-norm %q has %d channels",
+				ErrBadGrads, i, len(st), bns[i/2].Name(), len(mean))
+		}
+		if !allFinite(st...) {
+			return fmt.Errorf("%w: stats slice %d is non-finite", ErrBadGrads, i)
 		}
 	}
 	return nil
+}
+
+func allFinite(xs ...float64) bool {
+	for _, v := range xs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // buildShards materializes the Shard payloads for one member's assignment.
@@ -593,14 +536,5 @@ func (c *coordinator) count(in, out int) {
 	if out > 0 {
 		bytesOut.Add(uint64(out))
 		atomic.AddInt64(&c.stats.BytesOut, int64(out))
-	}
-}
-
-// sortInts is a tiny insertion sort (slot lists are small).
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
 	}
 }

@@ -1,16 +1,18 @@
 package distnet
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"gmreg/internal/core"
 	"gmreg/internal/data"
-	"gmreg/internal/dist"
 	"gmreg/internal/models"
 	"gmreg/internal/nn"
 	"gmreg/internal/reg"
@@ -59,6 +61,12 @@ func testSGD(epochs int) train.SGDConfig {
 		Seed:         9,
 		ShardSize:    4, // pinned: trainer-count-independent canonical partition
 	}
+}
+
+// replicated is sgd trained by r in-process replicas.
+func replicated(sgd train.SGDConfig, r int) train.SGDConfig {
+	sgd.Replicas = r
+	return sgd
 }
 
 func weightsOf(n *nn.Network) [][]float64 {
@@ -143,7 +151,7 @@ func runJob(t *testing.T, set *data.ImageSet, spec models.Spec, sgd train.SGDCon
 // TestCoordinateBitIdenticalToSequentialAndDist is the tentpole guarantee:
 // at a pinned ShardSize, a coordinator with R ∈ {1, 2, 4} trainer processes
 // produces exactly the weights and loss history of the sequential
-// train.Network and of the in-process dist.Network.
+// train.Network and of train.Network with in-process replicas.
 func TestCoordinateBitIdenticalToSequentialAndDist(t *testing.T) {
 	pinGrain(t)
 	set, spec := tabularJob(t)
@@ -163,10 +171,10 @@ func TestCoordinateBitIdenticalToSequentialAndDist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dist.Network(distNet, set, dist.NetConfig{Replicas: 2, SGD: sgd}, gmFactory); err != nil {
+	if _, err := train.Network(distNet, set, replicated(sgd, 2), gmFactory); err != nil {
 		t.Fatal(err)
 	}
-	requireSameWeights(t, "dist.Network R=2", weightsOf(distNet), want)
+	requireSameWeights(t, "in-process R=2", weightsOf(distNet), want)
 
 	for _, R := range []int{1, 2, 4} {
 		label := fmt.Sprintf("distnet R=%d", R)
@@ -192,8 +200,8 @@ func TestCoordinateBitIdenticalToSequentialAndDist(t *testing.T) {
 }
 
 // TestCoordinateGhostBatchNormMatchesDist runs a batch-norm architecture
-// (resnet) and checks weights AND running statistics match dist.Network at
-// the same shard size and width — the ghost-batch-norm equivalence at
+// (resnet) and checks weights AND running statistics match in-process
+// replicas at the same shard size and width — the ghost-batch-norm equivalence at
 // fixed membership.
 func TestCoordinateGhostBatchNormMatchesDist(t *testing.T) {
 	pinGrain(t)
@@ -209,7 +217,7 @@ func TestCoordinateGhostBatchNormMatchesDist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dist.Network(distNet, set, dist.NetConfig{Replicas: 2, SGD: sgd}, gmFactory); err != nil {
+	if _, err := train.Network(distNet, set, replicated(sgd, 2), gmFactory); err != nil {
 		t.Fatal(err)
 	}
 
@@ -323,8 +331,8 @@ func TestCoordinateElasticLeaveAndRejoin(t *testing.T) {
 }
 
 // TestCoordinateCheckpointBytesMatchDist compares checkpoint FILES: the
-// train.State a distributed run writes must be byte-equal to the one the
-// in-process data-parallel trainer writes — the cross-run comparison the
+// train.State a distributed run writes must be byte-equal to the one
+// in-process replicas write — the cross-run comparison the
 // CI smoke job automates with cmp(1).
 func TestCoordinateCheckpointBytesMatchDist(t *testing.T) {
 	pinGrain(t)
@@ -337,7 +345,7 @@ func TestCoordinateCheckpointBytesMatchDist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dist.Network(distNet, set, dist.NetConfig{Replicas: 2, SGD: sgdA}, gmFactory); err != nil {
+	if _, err := train.Network(distNet, set, replicated(sgdA, 2), gmFactory); err != nil {
 		t.Fatal(err)
 	}
 
@@ -450,4 +458,103 @@ func TestRunTrainerValidation(t *testing.T) {
 	if err == nil {
 		t.Error("dial to closed port succeeded")
 	}
+}
+
+// TestCoordinateRejectsBadGrads feeds hand-built malformed Grads frames to
+// a live coordinator: each must end the job with an ErrBadGrads naming the
+// trainer — never a panic, and never a fold of the poisoned values.
+func TestCoordinateRejectsBadGrads(t *testing.T) {
+	cspec := data.CIFARSpec{Train: 8, Test: 4, Classes: 10, Size: 4, Channels: 1,
+		Signal: 0.9, Noise: 1.0, Waves: 2}
+	set, _ := data.GenerateCIFAR(cspec, 7)
+	spec := models.Spec{Family: "resnet", InC: 1, Size: 4}
+	ref, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardLen := 0
+	for _, p := range ref.Params() {
+		shardLen += len(p.W)
+	}
+	// wellFormed answers a Step the way a healthy trainer would, shape-wise.
+	wellFormed := func(step *Step) Grads {
+		g := Grads{Seq: step.Seq}
+		for _, sh := range step.Shards {
+			g.Shards = append(g.Shards, ShardGrad{Index: sh.Index, Grad: make([]float64, shardLen)})
+		}
+		for _, bn := range ref.BatchNorms() {
+			mean, _ := bn.Stats()
+			g.Stats = append(g.Stats, make([]float64, len(mean)), make([]float64, len(mean)))
+		}
+		return g
+	}
+	cases := map[string]func(*Grads){
+		"short stats slice": func(g *Grads) { g.Stats[0] = g.Stats[0][:1] },
+		"missing stats":     func(g *Grads) { g.Stats = g.Stats[:1] },
+		"NaN statistic":     func(g *Grads) { g.Stats[1][0] = math.NaN() },
+		"NaN loss":          func(g *Grads) { g.Shards[0].Loss = math.NaN() },
+		"Inf gradient":      func(g *Grads) { g.Shards[0].Grad[0] = math.Inf(1) },
+		"short gradient":    func(g *Grads) { g.Shards[0].Grad = g.Shards[0].Grad[:1] },
+	}
+	for name, poison := range cases {
+		t.Run(name, func(t *testing.T) {
+			sgd := testSGD(1)
+			sgd.BatchSize = 8
+			addrCh := make(chan net.Addr, 1)
+			cfg := Config{Addr: "127.0.0.1:0", Spec: spec, MinTrainers: 1, SGD: sgd,
+				HeartbeatTimeout: 20 * time.Second, JoinWait: 20 * time.Second,
+				OnListen: func(a net.Addr) { addrCh <- a }}
+			netw, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := Coordinate(netw, set, cfg, gmFactory)
+				done <- err
+			}()
+			go poisonTrainer((<-addrCh).String(), func(step *Step) Grads {
+				g := wellFormed(step)
+				poison(&g)
+				return g
+			})
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrBadGrads) || !strings.Contains(err.Error(), `"poison"`) {
+					t.Fatalf("want ErrBadGrads naming the trainer, got %v", err)
+				}
+			case <-time.After(60 * time.Second):
+				t.Fatal("coordinator did not finish")
+			}
+		})
+	}
+}
+
+// poisonTrainer joins as "poison" and answers its first Step with reply.
+func poisonTrainer(addr string, reply func(*Step) Grads) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return
+	}
+	defer conn.Close()
+	payload, _ := encodePayload(Hello{Name: "poison"})
+	if _, err := WriteFrame(conn, FrameHello, payload); err != nil {
+		return
+	}
+	if ft, _, _, err := ReadFrame(conn); err != nil || ft != FrameWelcome {
+		return
+	}
+	ft, payload, _, err := ReadFrame(conn)
+	if err != nil || ft != FrameStep {
+		return
+	}
+	var step Step
+	if decodePayload(payload, &step) != nil {
+		return
+	}
+	g := reply(&step)
+	if payload, err = encodePayload(g); err == nil {
+		WriteFrame(conn, FrameGrads, payload)
+	}
+	ReadFrame(conn) // hold the connection until the coordinator drops it
 }

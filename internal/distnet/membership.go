@@ -22,8 +22,6 @@ type member struct {
 	slot int
 	name string
 	conn net.Conn
-	// lastSeq is the step sequence last sent to this member (diagnostics).
-	lastSeq int64
 }
 
 // roster tracks live members and the membership epoch. It is owned by the
@@ -95,7 +93,7 @@ func (r *roster) bump(action string, m *member, reason string) {
 
 // assign maps shards [0, shards) over the live members: position p of the
 // slot-ordered live list owns shards p, p+R, p+2R, … — the same scatter
-// dist.Network uses for in-process replicas. Only the shards in pending
+// train.Network uses for in-process replicas. Only the shards in pending
 // (nil = all) are assigned, which is how a re-issue after a mid-step death
 // hands just the missing work to the survivors.
 func (r *roster) assign(shards int, pending map[int]bool) map[*member][]int {

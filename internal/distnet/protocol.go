@@ -1,9 +1,11 @@
 // Package distnet implements multi-process elastic distributed training: a
 // coordinator process drives synchronous data-parallel SGD across N trainer
-// processes over TCP, folding pre-scaled per-shard gradients in canonical
-// ascending shard order into the single shared train.Optimizer step — so an
-// R-trainer run is bit-identical to sequential train.Network and to
-// in-process dist.Network at equal effective shard size (DESIGN.md §13).
+// processes over TCP. The trainer roster is a member set of
+// train.NetworkOver: its pre-scaled per-shard gradients go through the same
+// canonical ascending fold and single optimizer step as in-process
+// replicas — so an R-trainer run is bit-identical to sequential
+// train.Network and to train.Network with R replicas at equal effective
+// shard size (DESIGN.md §13).
 //
 // The wire protocol is length-prefixed binary frames: a fixed header
 // (magic, version, frame type, payload length, SHA-256 of the payload)

@@ -37,8 +37,6 @@ type TrainerConfig struct {
 	// mid-step death, used by the fault-injection tests and the CI smoke
 	// job. The coordinator must detect it and re-partition.
 	DieAfterSteps int
-	// Sink receives nothing today; reserved so the flag surface matches the
-	// coordinator. (Trainer-side observability is the process metrics.)
 }
 
 // RunTrainer runs one trainer process: dial the coordinator, handshake,
@@ -82,11 +80,10 @@ type trainer struct {
 	tries int
 	steps int // Step frames received across all connections (die trigger)
 
-	net    *nn.Network
-	params []*nn.Param
-	bns    []*nn.BatchNorm
-	grad   []float64 // flattened per-shard gradient buffer (GradBank layout)
-	offs   []int
+	net     *nn.Network
+	params  []*nn.Param
+	bns     []*nn.BatchNorm
+	gradLen int // flattened per-shard gradient length (GradBank layout)
 }
 
 // serve runs one dial → handshake → step-loop lifetime.
@@ -127,11 +124,10 @@ func (t *trainer) serve() error {
 	}
 	t.params = t.net.Params()
 	t.bns = t.net.BatchNorms()
-	t.offs = make([]int, len(t.params)+1)
-	for i, p := range t.params {
-		t.offs[i+1] = t.offs[i] + len(p.W)
+	t.gradLen = 0
+	for _, p := range t.params {
+		t.gradLen += len(p.W)
 	}
-	t.grad = make([]float64, t.offs[len(t.params)])
 
 	for {
 		conn.SetReadDeadline(time.Now().Add(t.cfg.IdleTimeout))
@@ -217,14 +213,11 @@ func (t *trainer) step(step *Step) (*Grads, error) {
 		loss, dl := nn.SoftmaxCrossEntropyScaled(logits, sh.Y, step.N)
 		t.net.ZeroGrads()
 		t.net.Backward(dl)
-		for i, p := range t.params {
-			copy(t.grad[t.offs[i]:t.offs[i+1]], p.Grad)
+		grad := make([]float64, 0, t.gradLen)
+		for _, p := range t.params {
+			grad = append(grad, p.Grad...)
 		}
-		reply.Shards = append(reply.Shards, ShardGrad{
-			Index: sh.Index,
-			Grad:  append([]float64(nil), t.grad...),
-			Loss:  loss,
-		})
+		reply.Shards = append(reply.Shards, ShardGrad{Index: sh.Index, Grad: grad, Loss: loss})
 	}
 	if len(shards) > 0 && len(t.bns) > 0 {
 		reply.Stats = make([][]float64, 0, 2*len(t.bns))

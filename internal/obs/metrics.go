@@ -136,15 +136,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return bs
 }
 
-// LinearBuckets returns n bounds start, start+width, ….
-func LinearBuckets(start, width float64, n int) []float64 {
-	bs := make([]float64, n)
-	for i := range bs {
-		bs[i] = start + float64(i)*width
-	}
-	return bs
-}
-
 // DefLatencyBuckets spans 100µs–~25s in ×2.5 steps, fitting both the
 // micro-batched predictor (sub-millisecond) and full training epochs.
 var DefLatencyBuckets = ExpBuckets(100e-6, 2.5, 14)

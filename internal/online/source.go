@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"strconv"
@@ -53,6 +54,9 @@ func ParseSample(line string) (Sample, error) {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 		if err != nil {
 			return Sample{}, fmt.Errorf("online: bad feature %d in %q: %w", i, line, err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return Sample{}, fmt.Errorf("online: non-finite feature %d in %q", i, line)
 		}
 		feat[i] = v
 	}

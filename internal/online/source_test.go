@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -30,11 +31,44 @@ func TestParseSampleRoundTrip(t *testing.T) {
 }
 
 func TestParseSampleRejectsBadInput(t *testing.T) {
-	for _, line := range []string{"", "1", "0.5,2", "a,b,1", "0.5,0.2,1.5"} {
+	for _, line := range []string{"", "1", "0.5,2", "a,b,1", "0.5,0.2,1.5",
+		"NaN,1", "0.5,nan,0", "Inf,1", "0.5,-Inf,0", "+inf,1", "1e400,0"} {
 		if _, err := ParseSample(line); err == nil {
 			t.Errorf("ParseSample(%q) accepted bad input", line)
 		}
 	}
+}
+
+// FuzzParseSample: whatever ParseSample accepts has only finite features and
+// survives an AppendSample → ParseSample round trip bit for bit.
+func FuzzParseSample(f *testing.F) {
+	for _, seed := range []string{"0.12,-1.5,3.0,1", "1,0", " -0 , 1e-300 ,1\n",
+		"NaN,1", "0.5,+Inf,0", "1e400,1", "a,b,1", ""} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		s, err := ParseSample(line)
+		if err != nil {
+			return
+		}
+		for i, v := range s.Features {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("accepted non-finite feature %d (%v) from %q", i, v, line)
+			}
+		}
+		back, err := ParseSample(string(AppendSample(nil, s)))
+		if err != nil {
+			t.Fatalf("re-parsing the encoding of %q: %v", line, err)
+		}
+		if back.Label != s.Label || len(back.Features) != len(s.Features) {
+			t.Fatalf("round trip of %q: %+v vs %+v", line, back, s)
+		}
+		for i := range s.Features {
+			if math.Float64bits(back.Features[i]) != math.Float64bits(s.Features[i]) {
+				t.Fatalf("round trip of %q: feature %d %v vs %v", line, i, back.Features[i], s.Features[i])
+			}
+		}
+	})
 }
 
 // appendLines appends encoded samples to path (creating it if needed).

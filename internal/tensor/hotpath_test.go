@@ -350,8 +350,8 @@ func TestWorkerPoolEach(t *testing.T) {
 // TestWorkerPoolBudget is the oversubscription guard for replica fan-out:
 // running R replica bodies via Each, each issuing nested Parallel work,
 // must never have more goroutines active than the pool size (Size-1
-// workers plus the one submitter). This is what keeps dist.Network's
-// replicas within GOMAXPROCS instead of multiplying it.
+// workers plus the one submitter). This is what keeps train.Network's
+// in-process replicas within GOMAXPROCS instead of multiplying it.
 func TestWorkerPoolBudget(t *testing.T) {
 	setGrain(t, 4)
 	SetSerialCutoff(1)

@@ -24,7 +24,8 @@ import (
 // partials, MatMulTransA partial products) get deterministic,
 // schedule-independent results that are also identical across pools of
 // different sizes. That width-independence is what lets data-parallel
-// training (internal/dist) reproduce the sequential trainer bit for bit.
+// training (train.Network's replicas) reproduce the sequential trainer bit
+// for bit.
 //
 // The pool is also the concurrency budget: Each lets a caller run R
 // replica bodies as pool jobs instead of spawning R goroutines, so the
@@ -272,6 +273,6 @@ func ParallelIndexed(n int, f func(chunk, lo, hi int)) { defaultPool.ParallelInd
 func ParallelChunks(n int) int { return defaultPool.Chunks(n) }
 
 // Pool returns the shared process-wide worker pool so coarse-grained
-// callers (replica fan-out in internal/dist) can schedule work on the same
+// callers (train.Network's replica fan-out) can schedule work on the same
 // fixed worker set the kernels use instead of spawning goroutines.
 func Pool() *WorkerPool { return &defaultPool }

@@ -33,8 +33,8 @@ import (
 //
 //	A run killed at any epoch boundary and resumed from its latest
 //	checkpoint produces byte-identical final weights, GM state, and
-//	deterministic telemetry to the uninterrupted run, for train.LogReg,
-//	train.Network, and dist.Network at any worker count.
+//	deterministic telemetry to the uninterrupted run, for train.LogReg and
+//	train.Network at any replica count.
 //
 // Wall-clock quantities (History.EpochTime, telemetry elapsed/fold seconds,
 // arena/pool counter deltas, ckpt events) are inherently non-deterministic
@@ -383,21 +383,19 @@ func ckptMetrics() {
 	})
 }
 
-// CkptRunner drives one trainer's checkpoint schedule. A nil runner (no
-// policy) no-ops on every call, mirroring Telemetry's nil-receiver pattern.
-// Exported so dist.Network drives the identical schedule the sequential
-// trainers use.
-type CkptRunner struct {
+// ckptRunner drives one trainer's checkpoint schedule. A nil runner (no
+// policy) no-ops on every call, mirroring telemetry's nil-receiver pattern.
+type ckptRunner struct {
 	pol  CheckpointPolicy
 	sink obs.Sink
 }
 
-// NewCkptRunner builds the runner, or nil when the policy is absent/inert.
-func NewCkptRunner(pol *CheckpointPolicy, sink obs.Sink) *CkptRunner {
+// newCkptRunner builds the runner, or nil when the policy is absent/inert.
+func newCkptRunner(pol *CheckpointPolicy, sink obs.Sink) *ckptRunner {
 	if pol == nil || (pol.Every <= 0 && pol.DieAtEpoch <= 0) {
 		return nil
 	}
-	c := &CkptRunner{pol: *pol, sink: sink}
+	c := &ckptRunner{pol: *pol, sink: sink}
 	if c.pol.Retain <= 0 {
 		c.pol.Retain = 3
 	}
@@ -415,7 +413,7 @@ func resumed() {
 // fault. Ordering matters — dying after the write models a crash right
 // after a successful checkpoint, dying off-boundary models losing partial
 // progress; the harness exercises both.
-func (c *CkptRunner) AfterEpoch(done int, capture func() *State) error {
+func (c *ckptRunner) AfterEpoch(done int, capture func() *State) error {
 	if c == nil {
 		return nil
 	}
@@ -433,14 +431,14 @@ func (c *CkptRunner) AfterEpoch(done int, capture func() *State) error {
 // Finish writes the final checkpoint (Done=true) at normal completion, so
 // every checkpointed run ends with a loadable-but-unresumable state whose
 // bytes are comparable across runs.
-func (c *CkptRunner) Finish(done int, capture func() *State) error {
+func (c *ckptRunner) Finish(done int, capture func() *State) error {
 	if c == nil || c.pol.Every <= 0 {
 		return nil
 	}
 	return c.write(done, true, capture)
 }
 
-func (c *CkptRunner) write(done int, final bool, capture func() *State) error {
+func (c *ckptRunner) write(done int, final bool, capture func() *State) error {
 	ckptMetrics()
 	start := time.Now()
 	st := capture()
@@ -466,7 +464,7 @@ func (c *CkptRunner) write(done int, final bool, capture func() *State) error {
 
 // prune removes the oldest checkpoints beyond Retain. Best-effort: a failed
 // remove never aborts training.
-func (c *CkptRunner) prune() {
+func (c *ckptRunner) prune() {
 	names, err := checkpointNames(c.pol.Dir)
 	if err != nil {
 		return
@@ -481,13 +479,13 @@ func (c *CkptRunner) prune() {
 // byte-stable across runs).
 func f64s(x []float64) []float64 { return append([]float64(nil), x...) }
 
-// CaptureNetwork snapshots a network trainer's full training state at an
+// captureNetwork snapshots a network trainer's full training state at an
 // epoch boundary. shardSize is the effective micro-shard size (after the
 // trainer's defaulting), part of the numeric contract the resume validates.
-// Shared by train.Network and dist.Network — both hold the authoritative
-// model, the same Optimizer, and the same stream position convention
+// Every member set of NetworkOver shares it: the loop holds the
+// authoritative model, the optimizer, and the stream position convention
 // (completed-epochs × batches).
-func CaptureNetwork(cfg SGDConfig, shardSize int, net *nn.Network, opt *Optimizer, hist *History) *State {
+func captureNetwork(cfg SGDConfig, shardSize int, net *nn.Network, opt *optimizer, hist *History) *State {
 	st := &State{
 		Kind:          KindNetwork,
 		Seed:          cfg.Seed,
@@ -501,7 +499,7 @@ func CaptureNetwork(cfg SGDConfig, shardSize int, net *nn.Network, opt *Optimize
 		Augment:       cfg.Augment,
 		EpochLoss:     f64s(hist.EpochLoss),
 	}
-	vels := opt.Velocities()
+	vels := opt.vels
 	for i, p := range opt.Params {
 		st.Groups = append(st.Groups, GroupState{Name: p.Name, W: f64s(p.W), Vel: f64s(vels[i])})
 	}
@@ -539,16 +537,16 @@ func captureRegs(regs map[string]reg.Regularizer) ([]RegState, []PriorState) {
 	return out, priors
 }
 
-// RestoreNetwork loads a KindNetwork state into a freshly built trainer:
+// restoreNetwork loads a KindNetwork state into a freshly built trainer:
 // weights, momentum, batch-norm statistics, and GM state, after validating
 // that the run's configuration matches the checkpoint's echo. hist is
 // seeded with the checkpointed loss history (epoch wall times restart at
 // zero — they are not part of the determinism contract).
-func RestoreNetwork(st *State, cfg SGDConfig, shardSize int, net *nn.Network, opt *Optimizer, hist *History) error {
+func restoreNetwork(st *State, cfg SGDConfig, shardSize int, net *nn.Network, opt *optimizer, hist *History) error {
 	if err := checkEcho(st, KindNetwork, cfg, shardSize); err != nil {
 		return err
 	}
-	vels := opt.Velocities()
+	vels := opt.vels
 	if len(st.Groups) != len(opt.Params) {
 		return fmt.Errorf("train: checkpoint has %d parameter groups, network has %d",
 			len(st.Groups), len(opt.Params))

@@ -5,9 +5,9 @@ package train_test
 // checkpoint must be bit-identical to the uninterrupted run — final weights
 // compared with ==, final checkpoint files compared byte for byte, and the
 // deterministic telemetry stream reassembling exactly. Exercised for
-// train.LogReg, train.Network (with batch norm), and dist.Network at worker
-// widths 1 and 4. The external test package lets the harness drive dist,
-// which imports train.
+// train.LogReg, train.Network (with batch norm), and train.Network with
+// in-process replicas at worker widths 1 and 4. The external test package
+// lets the harness use the public gmreg facade, which imports train.
 
 import (
 	"bytes"
@@ -21,7 +21,6 @@ import (
 
 	"gmreg"
 	"gmreg/internal/data"
-	"gmreg/internal/dist"
 	"gmreg/internal/nn"
 	"gmreg/internal/obs"
 	"gmreg/internal/tensor"
@@ -111,7 +110,8 @@ func fiBNNet(seed uint64) *nn.Network {
 }
 
 // fiConvNet is the no-batch-norm fixture whose weights AND checkpoint bytes
-// must agree between train.Network and dist.Network at every worker width.
+// must agree between sequential and replicated train.Network at every worker
+// width.
 func fiConvNet(seed uint64) *nn.Network {
 	rng := tensor.NewRNG(seed)
 	return nn.NewNetwork(
@@ -191,7 +191,7 @@ func TestNetworkFaultInjectResume(t *testing.T) {
 
 	baseDir := t.TempDir()
 	baseSink := &canonSink{}
-	baseRes, err := train.Network(fiBNNet(3), images, fiCfg(baseDir, baseSink), gmreg.GMFactory(gmreg.WithSink(baseSink)))
+	baseRes, err := train.Network(fiBNNet(3), images, fiCfg(baseDir, baseSink), gmreg.New(gmreg.WithSink(baseSink)))
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -204,7 +204,7 @@ func TestNetworkFaultInjectResume(t *testing.T) {
 			killSink := &canonSink{}
 			killCfg := fiCfg(dir, killSink)
 			killCfg.Ckpt.DieAtEpoch = dieAt
-			_, err := train.Network(fiBNNet(3), images, killCfg, gmreg.GMFactory(gmreg.WithSink(killSink)))
+			_, err := train.Network(fiBNNet(3), images, killCfg, gmreg.New(gmreg.WithSink(killSink)))
 			if !errors.Is(err, train.ErrFaultInjected) {
 				t.Fatalf("want ErrFaultInjected, got %v", err)
 			}
@@ -213,7 +213,7 @@ func TestNetworkFaultInjectResume(t *testing.T) {
 			resSink := &canonSink{}
 			resCfg := fiCfg(dir, resSink)
 			resCfg.Ckpt = resumePolicy(t, dir)
-			res, err := train.Network(fiBNNet(3), images, resCfg, gmreg.GMFactory(gmreg.WithSink(resSink)))
+			res, err := train.Network(fiBNNet(3), images, resCfg, gmreg.New(gmreg.WithSink(resSink)))
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
@@ -238,7 +238,7 @@ func TestDistFaultInjectResume(t *testing.T) {
 	images := fiImages(t)
 
 	baseDir := t.TempDir()
-	baseRes, err := train.Network(fiConvNet(3), images, fiCfg(baseDir, nil), gmreg.GMFactory())
+	baseRes, err := train.Network(fiConvNet(3), images, fiCfg(baseDir, nil), gmreg.New())
 	if err != nil {
 		t.Fatalf("sequential baseline: %v", err)
 	}
@@ -250,8 +250,8 @@ func TestDistFaultInjectResume(t *testing.T) {
 			dir := t.TempDir()
 			killCfg := fiCfg(dir, nil)
 			killCfg.Ckpt.DieAtEpoch = 3
-			_, err := dist.Network(fiConvNet(3), images,
-				dist.NetConfig{Replicas: workers, SGD: killCfg}, gmreg.GMFactory())
+			killCfg.Replicas = workers
+			_, err := train.Network(fiConvNet(3), images, killCfg, gmreg.New())
 			if !errors.Is(err, train.ErrFaultInjected) {
 				t.Fatalf("want ErrFaultInjected, got %v", err)
 			}
@@ -261,8 +261,8 @@ func TestDistFaultInjectResume(t *testing.T) {
 			if resCfg.Ckpt.Resume == nil {
 				t.Fatalf("expected a checkpoint before epoch 3")
 			}
-			res, err := dist.Network(fiConvNet(3), images,
-				dist.NetConfig{Replicas: workers, SGD: resCfg}, gmreg.GMFactory())
+			resCfg.Replicas = workers
+			res, err := train.Network(fiConvNet(3), images, resCfg, gmreg.New())
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
@@ -296,7 +296,7 @@ func TestLogRegFaultInjectResume(t *testing.T) {
 			baseDir := t.TempDir()
 			baseCfg := cfg
 			baseCfg.Ckpt = &train.CheckpointPolicy{Every: 3, Dir: baseDir}
-			baseRes, err := train.LogReg(task, rows, baseCfg, gmreg.GMFactory())
+			baseRes, err := train.LogReg(task, rows, baseCfg, gmreg.New())
 			if err != nil {
 				t.Fatalf("baseline: %v", err)
 			}
@@ -305,14 +305,14 @@ func TestLogRegFaultInjectResume(t *testing.T) {
 			dir := t.TempDir()
 			killCfg := cfg
 			killCfg.Ckpt = &train.CheckpointPolicy{Every: 3, Dir: dir, DieAtEpoch: 4}
-			if _, err := train.LogReg(task, rows, killCfg, gmreg.GMFactory()); !errors.Is(err, train.ErrFaultInjected) {
+			if _, err := train.LogReg(task, rows, killCfg, gmreg.New()); !errors.Is(err, train.ErrFaultInjected) {
 				t.Fatalf("want ErrFaultInjected, got %v", err)
 			}
 
 			resCfg := cfg
 			resCfg.Ckpt = resumePolicy(t, dir)
 			resCfg.Ckpt.Every = 3
-			res, err := train.LogReg(task, rows, resCfg, gmreg.GMFactory())
+			res, err := train.LogReg(task, rows, resCfg, gmreg.New())
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
@@ -336,7 +336,7 @@ func TestLogRegFaultInjectResume(t *testing.T) {
 func TestCheckpointGuards(t *testing.T) {
 	images := fiImages(t)
 	dir := t.TempDir()
-	if _, err := train.Network(fiConvNet(3), images, fiCfg(dir, nil), gmreg.GMFactory()); err != nil {
+	if _, err := train.Network(fiConvNet(3), images, fiCfg(dir, nil), gmreg.New()); err != nil {
 		t.Fatalf("seed run: %v", err)
 	}
 
@@ -385,7 +385,7 @@ func TestCheckpointGuards(t *testing.T) {
 		cfg := fiCfg(t.TempDir(), nil)
 		cfg.Seed++ // drift
 		cfg.Ckpt.Resume = st
-		if _, err := train.Network(fiConvNet(3), images, cfg, gmreg.GMFactory()); err == nil {
+		if _, err := train.Network(fiConvNet(3), images, cfg, gmreg.New()); err == nil {
 			t.Fatal("resume under a different seed succeeded")
 		}
 	})
@@ -395,7 +395,7 @@ func TestCheckpointGuards(t *testing.T) {
 		cfg := fiCfg(rdir, nil)
 		cfg.Ckpt.Every = 1
 		cfg.Ckpt.Retain = 2
-		if _, err := train.Network(fiConvNet(3), images, cfg, gmreg.GMFactory()); err != nil {
+		if _, err := train.Network(fiConvNet(3), images, cfg, gmreg.New()); err != nil {
 			t.Fatal(err)
 		}
 		entries, err := os.ReadDir(rdir)

@@ -44,7 +44,7 @@ func goldenRun(t *testing.T) ([]byte, []string) {
 		Sink:         sink,
 		Ckpt:         &train.CheckpointPolicy{Every: 2, Dir: dir},
 	}
-	if _, err := train.LogReg(task, rows, cfg, gmreg.GMFactory(gmreg.WithSink(sink))); err != nil {
+	if _, err := train.LogReg(task, rows, cfg, gmreg.New(gmreg.WithSink(sink))); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(filepath.Join(dir, train.CheckpointName(6)))

@@ -8,13 +8,13 @@ import (
 	"gmreg/internal/tensor"
 )
 
-// Optimizer is the server side of network SGD: per-group regularizers,
+// optimizer is the server side of network SGD: per-group regularizers,
 // momentum velocities, and the weight update applied once per global step.
-// Both the sequential trainer and dist.Network drive the same Optimizer
-// code, so a given accumulated gradient produces the same weights bit for
-// bit on either path — and stateful regularizers (the GM's E/M steps) see
-// exactly one Grad call per global step, never per-shard fragments.
-type Optimizer struct {
+// NetworkOver drives it for every member set, so a given accumulated
+// gradient produces the same weights bit for bit whoever computed it — and
+// stateful regularizers (the GM's E/M steps) see exactly one Grad call per
+// global step, never per-shard fragments.
+type optimizer struct {
 	// Params are the parameter groups being optimized, in network order.
 	Params []*nn.Param
 	// Regs holds the per-group regularizers, keyed by group name — the
@@ -23,14 +23,16 @@ type Optimizer struct {
 
 	regScale float64
 	gregs    map[string][]float64
-	vels     [][]float64
+	// vels are the momentum buffers, one per group in Params order;
+	// checkpoint capture copies them out and resume copies them back in.
+	vels [][]float64
 }
 
-// NewOptimizer builds the per-group regularizers from factory (wiring the
+// newOptimizer builds the per-group regularizers from factory (wiring the
 // batches-per-epoch count into EpochAware ones) and zeroed velocities.
 // regScale is the 1/N weighting of the regularization gradient.
-func NewOptimizer(params []*nn.Param, factory reg.Factory, batchesPerEpoch int, regScale float64) *Optimizer {
-	o := &Optimizer{
+func newOptimizer(params []*nn.Param, factory reg.Factory, batchesPerEpoch int, regScale float64) *optimizer {
+	o := &optimizer{
 		Params:   params,
 		Regs:     map[string]reg.Regularizer{},
 		regScale: regScale,
@@ -55,7 +57,7 @@ func NewOptimizer(params []*nn.Param, factory reg.Factory, batchesPerEpoch int, 
 // Step applies one global SGD+momentum update: each group's accumulated
 // data-misfit gradient (already in p.Grad) gets the scaled regularization
 // gradient added, then v ← momentum·v − lr·g and w ← w + v.
-func (o *Optimizer) Step(lr, momentum float64) {
+func (o *optimizer) Step(lr, momentum float64) {
 	for i, p := range o.Params {
 		if r, ok := o.Regs[p.Name]; ok {
 			buf := o.gregs[p.Name]
@@ -70,24 +72,19 @@ func (o *Optimizer) Step(lr, momentum float64) {
 	}
 }
 
-// Velocities returns the live momentum buffers, one per parameter group in
-// Params order. Checkpoint capture copies them out and resume copies a saved
-// state back in; they must not be resized.
-func (o *Optimizer) Velocities() [][]float64 { return o.vels }
-
 // GradBank stores per-shard gradient snapshots of a minibatch, one
 // flattened buffer per shard, and folds them back in canonical order. The
-// ascending left-fold in Reduce is part of the numeric contract: the
-// sequential trainer and dist.Network produce bit-identical weights
-// because they fold identical shard snapshots in the identical order,
-// regardless of which goroutine (or replica) computed each snapshot.
+// ascending left-fold in Reduce is part of the numeric contract: every
+// member set produces bit-identical weights because it folds identical
+// shard snapshots in the identical order, regardless of which goroutine,
+// replica or trainer process computed each snapshot.
 type GradBank struct {
 	offs []int
 	bufs [][]float64
 }
 
-// NewGradBank sizes buffers for up to shards snapshots of params' layout.
-func NewGradBank(params []*nn.Param, shards int) *GradBank {
+// newGradBank sizes buffers for up to shards snapshots of params' layout.
+func newGradBank(params []*nn.Param, shards int) *GradBank {
 	offs := make([]int, len(params)+1)
 	for i, p := range params {
 		offs[i+1] = offs[i] + len(p.W)

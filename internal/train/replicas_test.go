@@ -1,15 +1,16 @@
-package dist
+package train
 
 import (
+	"math"
 	"testing"
 
+	"gmreg/internal/core"
 	"gmreg/internal/data"
 	"gmreg/internal/nn"
 	"gmreg/internal/tensor"
-	"gmreg/internal/train"
 )
 
-// The data-parallel trainer's whole value proposition is exact numerics:
+// The in-process replicas' whole value proposition is exact numerics:
 // these tests compare weights with ==, not tolerances. A wide replica pool
 // is substituted so replicas really run concurrently even on one CPU, and
 // the partition grain is pinned so kernel chunking is identical across
@@ -59,19 +60,23 @@ func tinyBNConv(seed uint64) *nn.Network {
 	)
 }
 
-func netCfg(replicas int, prefetch bool) NetConfig {
-	return NetConfig{
-		Replicas: replicas,
-		Prefetch: prefetch,
-		SGD: train.SGDConfig{
-			LearningRate: 0.05,
-			Momentum:     0.9,
-			Epochs:       3,
-			BatchSize:    16,
-			Seed:         9,
-			ShardSize:    4, // pinned: R-independent canonical partition
-		},
+func netCfg(replicas int, prefetch bool) SGDConfig {
+	return SGDConfig{
+		Replicas:     replicas,
+		Prefetch:     prefetch,
+		LearningRate: 0.05,
+		Momentum:     0.9,
+		Epochs:       3,
+		BatchSize:    16,
+		Seed:         9,
+		ShardSize:    4, // pinned: R-independent canonical partition
 	}
+}
+
+// seqCfg is cfg run on the network itself, without prefetch.
+func seqCfg(cfg SGDConfig) SGDConfig {
+	cfg.Replicas, cfg.Prefetch = 0, false
+	return cfg
 }
 
 func weightsOf(net *nn.Network) [][]float64 {
@@ -97,15 +102,15 @@ func requireSameWeights(t *testing.T, label string, a, b [][]float64) {
 }
 
 // TestNetworkBitIdenticalToSequential is the tentpole guarantee: at a
-// pinned ShardSize, dist.Network at R ∈ {1, 2, 4} (prefetch on and off)
-// produces exactly the weights and loss history of the sequential
-// train.Network.
+// pinned ShardSize, Network with R ∈ {1, 2, 4} replicas (prefetch on and
+// off) produces exactly the weights and loss history of the sequential
+// run.
 func TestNetworkBitIdenticalToSequential(t *testing.T) {
 	set := netTestSetup(t)
 	cfg := netCfg(1, false)
 
 	seqNet := tinyConv(21)
-	seqRes, err := train.Network(seqNet, set, cfg.SGD, gmFactory)
+	seqRes, err := Network(seqNet, set, seqCfg(cfg), gmFactory(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +120,7 @@ func TestNetworkBitIdenticalToSequential(t *testing.T) {
 		for _, prefetch := range []bool{false, true} {
 			c := netCfg(replicas, prefetch)
 			net := tinyConv(21)
-			res, err := Network(net, set, c, gmFactory)
+			res, err := Network(net, set, c, gmFactory(nil))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,10 +145,10 @@ func TestNetworkRepeatedRunsBitIdentical(t *testing.T) {
 	set := netTestSetup(t)
 
 	seq1, seq2 := tinyConv(4), tinyConv(4)
-	if _, err := train.Network(seq1, set, netCfg(1, false).SGD, gmFactory); err != nil {
+	if _, err := Network(seq1, set, seqCfg(netCfg(1, false)), gmFactory(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := train.Network(seq2, set, netCfg(1, false).SGD, gmFactory); err != nil {
+	if _, err := Network(seq2, set, seqCfg(netCfg(1, false)), gmFactory(nil)); err != nil {
 		t.Fatal(err)
 	}
 	requireSameWeights(t, "sequential rerun", weightsOf(seq1), weightsOf(seq2))
@@ -151,10 +156,10 @@ func TestNetworkRepeatedRunsBitIdentical(t *testing.T) {
 	for _, replicas := range []int{1, 2, 4} {
 		c := netCfg(replicas, true)
 		n1, n2 := tinyConv(4), tinyConv(4)
-		if _, err := Network(n1, set, c, gmFactory); err != nil {
+		if _, err := Network(n1, set, c, gmFactory(nil)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Network(n2, set, c, gmFactory); err != nil {
+		if _, err := Network(n2, set, c, gmFactory(nil)); err != nil {
 			t.Fatal(err)
 		}
 		requireSameWeights(t, "replica rerun", weightsOf(n1), weightsOf(n2))
@@ -171,14 +176,14 @@ func TestNetworkGhostBatchNorm(t *testing.T) {
 	cfg := netCfg(2, false)
 
 	seqNet := tinyBNConv(33)
-	if _, err := train.Network(seqNet, set, cfg.SGD, gmFactory); err != nil {
+	if _, err := Network(seqNet, set, seqCfg(cfg), gmFactory(nil)); err != nil {
 		t.Fatal(err)
 	}
 	d1, d2 := tinyBNConv(33), tinyBNConv(33)
-	if _, err := Network(d1, set, cfg, gmFactory); err != nil {
+	if _, err := Network(d1, set, cfg, gmFactory(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Network(d2, set, cfg, gmFactory); err != nil {
+	if _, err := Network(d2, set, cfg, gmFactory(nil)); err != nil {
 		t.Fatal(err)
 	}
 	requireSameWeights(t, "BN weights vs sequential", weightsOf(d1), weightsOf(seqNet))
@@ -198,30 +203,77 @@ func TestNetworkGhostBatchNorm(t *testing.T) {
 func TestNetworkDefaultShardSize(t *testing.T) {
 	set := netTestSetup(t)
 	cfg := netCfg(3, false)
-	cfg.SGD.ShardSize = 0
+	cfg.ShardSize = 0
 	n1, n2 := tinyConv(2), tinyConv(2)
-	if _, err := Network(n1, set, cfg, gmFactory); err != nil {
+	if _, err := Network(n1, set, cfg, gmFactory(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Network(n2, set, cfg, gmFactory); err != nil {
+	if _, err := Network(n2, set, cfg, gmFactory(nil)); err != nil {
 		t.Fatal(err)
 	}
 	requireSameWeights(t, "default shard size", weightsOf(n1), weightsOf(n2))
 }
 
-// TestNetworkErrors covers the validation paths.
-func TestNetworkErrors(t *testing.T) {
+// TestReplicaNetworkErrors covers the validation paths.
+func TestReplicaNetworkErrors(t *testing.T) {
 	set := netTestSetup(t)
-	if _, err := Network(tinyConv(1), set, NetConfig{Replicas: 0, SGD: netCfg(1, false).SGD}, gmFactory); err == nil {
-		t.Error("0 replicas accepted")
+	if _, err := Network(tinyConv(1), set, netCfg(-1, false), gmFactory(nil)); err == nil {
+		t.Error("negative replica count accepted")
 	}
 	bad := netCfg(2, false)
-	bad.SGD.BarzilaiBorwein = true
-	if _, err := Network(tinyConv(1), set, bad, gmFactory); err == nil {
+	bad.BarzilaiBorwein = true
+	if _, err := Network(tinyConv(1), set, bad, gmFactory(nil)); err == nil {
 		t.Error("BB accepted")
 	}
 	empty := &data.ImageSet{C: 3, H: 8, W: 8, Classes: 4}
-	if _, err := Network(tinyConv(1), empty, netCfg(1, false), gmFactory); err == nil {
+	if _, err := Network(tinyConv(1), empty, netCfg(1, false), gmFactory(nil)); err == nil {
 		t.Error("empty training set accepted")
 	}
+}
+
+// The server-side GM must step once per global iteration regardless of the
+// replica count (the regularizer is not sharded).
+func TestGMStepsOncePerGlobalIteration(t *testing.T) {
+	set := netTestSetup(t)
+	cfg := netCfg(4, false)
+	res, err := Network(tinyConv(5), set, cfg, gmFactory(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nBatches := (set.N + cfg.BatchSize - 1) / cfg.BatchSize
+	want := cfg.Epochs * nBatches // default schedule: every iteration
+	for name, r := range res.Regs {
+		e, _ := r.(*core.GM).Steps()
+		if e != want {
+			t.Fatalf("%s: GM ran %d E-steps, want %d (one per global step)", name, e, want)
+		}
+	}
+}
+
+// More replicas than rows in the ragged last batch: the idle replicas must
+// be harmless.
+func TestEmptyShards(t *testing.T) {
+	set := netTestSetup(t)
+	cfg := netCfg(4, false)
+	cfg.BatchSize = 23 // batches of 23, 23 and 2 rows
+	net := tinyConv(6)
+	res, err := Network(net, set, cfg, gmFactory(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.History.EpochLoss) != cfg.Epochs {
+		t.Fatal("training did not complete")
+	}
+	for _, w := range weightsOf(net) {
+		for _, v := range w {
+			if math.IsNaN(v) {
+				t.Fatal("NaN weights with empty shards")
+			}
+		}
+	}
+	seqNet := tinyConv(6)
+	if _, err := Network(seqNet, set, seqCfg(cfg), gmFactory(nil)); err != nil {
+		t.Fatal(err)
+	}
+	requireSameWeights(t, "ragged batch vs sequential", weightsOf(net), weightsOf(seqNet))
 }

@@ -10,16 +10,16 @@ import (
 	"gmreg/internal/tensor"
 )
 
-// Telemetry drives per-epoch event emission for the trainers: one
+// telemetry drives per-epoch event emission for the trainers: one
 // obs.Epoch summary plus one obs.GMState snapshot per adaptive regularizer,
 // in sorted group order so JSONL streams are reproducible. It also converts
 // the process-wide arena/pool counters into per-epoch deltas.
 //
 // Emission only reads training state (and copies the mixture slices), so a
-// run with a sink is bit-identical to a run without one. A Telemetry built
+// run with a sink is bit-identical to a run without one. A telemetry built
 // from a nil sink is itself nil, and every method on a nil receiver is a
 // no-op — trainers call unconditionally.
-type Telemetry struct {
+type telemetry struct {
 	sink     obs.Sink
 	replicas int
 	arena    tensor.ArenaStats
@@ -27,13 +27,17 @@ type Telemetry struct {
 	fold     time.Duration
 }
 
-// NewTelemetry wires a per-epoch emitter for a trainer with the given
-// data-parallel width (0 = sequential). A nil sink returns nil.
-func NewTelemetry(sink obs.Sink, replicas int) *Telemetry {
+// newTelemetry wires a per-epoch emitter for a trainer with the given
+// data-parallel width (≤ 1 = sequential, reported as 0). A nil sink
+// returns nil.
+func newTelemetry(sink obs.Sink, replicas int) *telemetry {
 	if sink == nil {
 		return nil
 	}
-	return &Telemetry{
+	if replicas <= 1 {
+		replicas = 0
+	}
+	return &telemetry{
 		sink:     sink,
 		replicas: replicas,
 		arena:    tensor.DefaultArena.Stats(),
@@ -43,7 +47,7 @@ func NewTelemetry(sink obs.Sink, replicas int) *Telemetry {
 
 // AddFold accumulates gradient-fold (all-reduce) time into the current
 // epoch's total.
-func (t *Telemetry) AddFold(d time.Duration) {
+func (t *telemetry) AddFold(d time.Duration) {
 	if t == nil {
 		return
 	}
@@ -52,7 +56,7 @@ func (t *Telemetry) AddFold(d time.Duration) {
 
 // Epoch emits the epoch summary and one mixture snapshot per GM
 // regularizer, then resets the per-epoch deltas.
-func (t *Telemetry) Epoch(epoch int, loss, lr float64, elapsed time.Duration, regs map[string]reg.Regularizer) {
+func (t *telemetry) Epoch(epoch int, loss, lr float64, elapsed time.Duration, regs map[string]reg.Regularizer) {
 	if t == nil {
 		return
 	}

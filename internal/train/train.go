@@ -33,13 +33,18 @@ type SGDConfig struct {
 	// fixed-size micro-shards processed as independent forward/backward
 	// passes whose gradients are summed in ascending shard order before
 	// the single regularizer+momentum update. This canonical partition is
-	// what dist.Network distributes across replicas: any replica count
-	// folding the same shards in the same order reproduces the same bits.
-	// 0 keeps whole-batch processing (one shard per batch). Batch-norm
-	// layers normalize over their shard ("ghost batch norm"), so for
-	// batch-norm networks ShardSize is a (deterministic) semantic knob,
-	// not just an execution detail. Ignored by LogReg.
+	// what data-parallel members share out: any member count folding the
+	// same shards in the same order reproduces the same bits. 0 defaults
+	// to ceil(BatchSize/width), one shard per member (the whole batch when
+	// sequential); pin it to make runs bit-identical across widths.
+	// Batch-norm layers normalize over their shard ("ghost batch norm"),
+	// so for batch-norm networks ShardSize is a (deterministic) semantic
+	// knob, not just an execution detail. Ignored by LogReg.
 	ShardSize int
+	// Replicas is the number of in-process model replicas Network shares
+	// every global minibatch across (0 or 1 = sequential). Ignored by
+	// LogReg and by distnet, whose width is its trainer count.
+	Replicas int
 	// Seed drives shuffling (and augmentation, for image training).
 	Seed uint64
 	// Prefetch assembles image minibatches one step ahead on a background
@@ -90,6 +95,8 @@ func (c SGDConfig) Validate() error {
 		return fmt.Errorf("train: batch size must be at least 1, got %d", c.BatchSize)
 	case c.ShardSize < 0:
 		return fmt.Errorf("train: shard size must be non-negative, got %d", c.ShardSize)
+	case c.Replicas < 0:
+		return fmt.Errorf("train: replica count must be non-negative, got %d", c.Replicas)
 	case c.Momentum < 0 || c.Momentum >= 1:
 		return fmt.Errorf("train: momentum must be in [0,1), got %v", c.Momentum)
 	case c.LRDecayEvery < 0:
@@ -100,10 +107,6 @@ func (c SGDConfig) Validate() error {
 		return c.Ckpt.validate()
 	}
 }
-
-// LRAt returns the scheduled learning rate for a 0-based epoch; exposed so
-// dist.Network can drive the identical schedule server-side.
-func (c SGDConfig) LRAt(epoch int) float64 { return c.lrAt(epoch) }
 
 // lrAt returns the scheduled learning rate for an epoch (0-based).
 func (c SGDConfig) lrAt(epoch int) float64 {
@@ -199,12 +202,12 @@ func LogReg(task *data.Task, trainRows []int, cfg SGDConfig, factory reg.Factory
 		avgG = make([]float64, m)
 	}
 	lr := cfg.LearningRate
-	tel := NewTelemetry(cfg.Sink, 0)
+	tel := newTelemetry(cfg.Sink, 0)
 	telRegs := map[string]reg.Regularizer{"weights": r}
 
 	start := time.Now()
 	rows := append([]int(nil), trainRows...)
-	ckpt := NewCkptRunner(cfg.Ckpt, cfg.Sink)
+	ckpt := newCkptRunner(cfg.Ckpt, cfg.Sink)
 	startEpoch := 0
 	if cfg.Ckpt != nil && cfg.Ckpt.Resume != nil {
 		st := cfg.Ckpt.Resume
