@@ -7,15 +7,13 @@
 //	gmreg-bench -exp all
 //
 // Experiments: table4, table5, table6, table7, table8, fig3, fig4, fig5,
-// fig6, fig7, hotpath, serve, dataparallel, distnet, autotune, all. Scales: small
+// fig6, fig7, hotpath, serveload, dataparallel, distnet, autotune, all. Scales: small
 // (minutes) and full (hours on CPU; matches the paper's budgets where
 // feasible). See EXPERIMENTS.md for the recorded paper-vs-measured
 // comparison. The hotpath experiment benchmarks the allocating kernels
 // against the pooled zero-allocation hot path — plus -micro rows pitting
 // the register-blocked micro-kernels against the PR-1 blocked kernels — and
-// writes BENCH_hotpath.json; the serve experiment sweeps the micro-batching
-// predictor's batch-window settings under concurrent load and writes
-// BENCH_serve.json; the serveload experiment drives a real in-process
+// writes BENCH_hotpath.json; the serveload experiment drives a real in-process
 // gmreg-serve over loopback TCP with OPEN-loop Poisson arrivals (latency
 // measured from each request's scheduled arrival, wrk2-style, so queueing
 // delay is not hidden by coordinated omission), sweeps offered QPS around
@@ -36,8 +34,9 @@
 // the kernel partition grain. Every BENCH_*.json embeds an env header (go
 // version, GOMAXPROCS, NumCPU, serial cutoff, partition grain, tile shape,
 // autotune source) so results are reproducible on another host, and the
-// hotpath/dataparallel reports stamp scaling_valid:false — with the reason —
-// whenever effective GOMAXPROCS (min of GOMAXPROCS and NumCPU) is below 2.
+// hotpath, dataparallel, distnet and serveload reports stamp
+// scaling_valid:false — with the reason in scaling_note — whenever effective
+// GOMAXPROCS (min of GOMAXPROCS and NumCPU) is below 2.
 package main
 
 import (
@@ -54,7 +53,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id: table4|table5|table6|table7|table8|fig3|fig4|fig5|fig6|fig7|ablation-k|ablation-merge|ablation-gamma|ablation-grid|ablation-hpo|ablation-priors|hotpath|serve|serveload|dataparallel|distnet|autotune|ablations|all")
+		exp      = flag.String("exp", "all", "experiment id: table4|table5|table6|table7|table8|fig3|fig4|fig5|fig6|fig7|ablation-k|ablation-merge|ablation-gamma|ablation-grid|ablation-hpo|ablation-priors|hotpath|serveload|dataparallel|distnet|autotune|ablations|all")
 		scale    = flag.String("scale", "small", "experiment scale: small|full")
 		model    = flag.String("model", "alex", "model for fig4/fig5/fig6/fig7/table8: alex|resnet")
 		datasets = flag.String("datasets", "", "comma-separated dataset filter for table7 (default: all 12)")

@@ -23,7 +23,9 @@
 //	    -connect 127.0.0.1:9099
 //
 // The wire format is one CSV line per sample: features then a 0/1 label.
-// SIGINT/SIGTERM stop the trainer cleanly after a final publish.
+// SIGINT/SIGTERM stop the trainer cleanly after a final publish. A -store
+// file that exists but does not decode stops the trainer with an error
+// before it trains, so a corrupt store is never overwritten by a cold start.
 package main
 
 import (

@@ -82,7 +82,6 @@ import (
 	"gmreg/internal/nn"
 	"gmreg/internal/obs"
 	"gmreg/internal/serve"
-	"gmreg/internal/store"
 	"gmreg/internal/tensor"
 	"gmreg/internal/train"
 )
@@ -205,7 +204,11 @@ func main() {
 		}
 		return
 	}
-	if err := runTabular(*dataset, cfg, factory, *seed); err != nil {
+	task, err := loadTabular(*dataset, *seed)
+	if err != nil {
+		fatal(err)
+	}
+	if err := trainAndReport(task, cfg, factory, *seed); err != nil {
 		fatal(err)
 	}
 }
@@ -238,15 +241,9 @@ func trainNetwork(netw *nn.Network, set *data.ImageSet, spec models.Spec, cfg tr
 // across processes with byte-comparable checkpoints (the distnet CI smoke
 // job relies on this path).
 func runTabularMLP(name string, cfg train.SGDConfig, factory gmreg.Factory, seed uint64, hidden int, dc *distnet.Config) error {
-	var task *data.Task
-	if name == "hosp-fa" {
-		task = data.GenerateHospFA(data.DefaultHospFA(), seed)
-	} else {
-		var err error
-		task, err = data.LoadUCI(name, seed)
-		if err != nil {
-			return err
-		}
+	task, err := loadTabular(name, seed)
+	if err != nil {
+		return err
 	}
 	set := data.TabularImageSet(task)
 	spec := models.Spec{Family: "mlp", In: set.C, Hidden: hidden, Classes: set.Classes}
@@ -262,6 +259,17 @@ func runTabularMLP(name string, cfg train.SGDConfig, factory gmreg.Factory, seed
 	}
 	fmt.Printf("final training loss: %.4f (%.2fs)\n", res.History.FinalLoss(), res.History.TotalTime().Seconds())
 	fmt.Printf("train accuracy: %.3f\n", train.EvalNetwork(netw, set, 64))
+	return reportNetwork(res, spec, map[string]string{
+		"dataset": task.Name,
+		"model":   "mlp",
+		"seed":    fmt.Sprintf("%d", seed),
+	})
+}
+
+// reportNetwork prints each parameter group's learned prior in name order
+// and, with -save, stores the trained network under spec with its GM
+// snapshots (a name→mixture object) and meta.
+func reportNetwork(res *train.NetworkResult, spec models.Spec, meta map[string]string) error {
 	if err := refuseSaveInterrupted(); err != nil {
 		return err
 	}
@@ -280,21 +288,17 @@ func runTabularMLP(name string, cfg train.SGDConfig, factory gmreg.Factory, seed
 			printPrior(n, p)
 		}
 	}
-	if saveKey != "" {
-		var gmBlob []byte
-		if len(gms) > 0 {
-			if gmBlob, err = json.Marshal(gms); err != nil {
-				return err
-			}
-		}
-		meta := map[string]string{
-			"dataset": task.Name,
-			"model":   "mlp",
-			"seed":    fmt.Sprintf("%d", seed),
-		}
-		return saveCheckpoint(spec, netw, gmBlob, meta)
+	if saveKey == "" {
+		return nil
 	}
-	return nil
+	var gmBlob []byte
+	if len(gms) > 0 {
+		var err error
+		if gmBlob, err = json.Marshal(gms); err != nil {
+			return err
+		}
+	}
+	return saveCheckpoint(spec, res.Net, gmBlob, meta)
 }
 
 // runCSV trains logistic regression on a user-provided CSV table.
@@ -440,18 +444,12 @@ func buildFactory(name, prior string, beta, gamma float64, storePath string, sin
 	}
 }
 
-func runTabular(name string, cfg train.SGDConfig, factory gmreg.Factory, seed uint64) error {
-	var task *data.Task
+// loadTabular generates hosp-fa or loads the named UCI dataset.
+func loadTabular(name string, seed uint64) (*data.Task, error) {
 	if name == "hosp-fa" {
-		task = data.GenerateHospFA(data.DefaultHospFA(), seed)
-	} else {
-		var err error
-		task, err = data.LoadUCI(name, seed)
-		if err != nil {
-			return err
-		}
+		return data.GenerateHospFA(data.DefaultHospFA(), seed), nil
 	}
-	return trainAndReport(task, cfg, factory, seed)
+	return data.LoadUCI(name, seed)
 }
 
 // trainAndReport fits logistic regression on a stratified split and prints
@@ -534,62 +532,23 @@ func runCIFAR(model string, cfg train.SGDConfig, factory gmreg.Factory, trainN, 
 	fmt.Printf("final training loss: %.4f (%.2fs)\n", res.History.FinalLoss(), res.History.TotalTime().Seconds())
 	fmt.Printf("train accuracy: %.3f\n", train.EvalNetwork(net, trainSet, 64))
 	fmt.Printf("test accuracy:  %.3f\n", testAcc)
-	if err := refuseSaveInterrupted(); err != nil {
-		return err
-	}
-	var names []string
-	for n := range res.Regs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	gms := map[string]*core.GM{}
-	for _, n := range names {
-		switch p := res.Regs[n].(type) {
-		case *core.GM:
-			printGM(n, p)
-			gms[n] = p
-		case core.Prior:
-			printPrior(n, p)
-		}
-	}
-	if saveKey != "" {
-		family := "alex"
-		if model == "resnet" {
-			family = "resnet"
-		}
-		var gmBlob []byte
-		if len(gms) > 0 {
-			if gmBlob, err = json.Marshal(gms); err != nil {
-				return err
-			}
-		}
-		meta := map[string]string{
-			"dataset":       "cifar",
-			"model":         model,
-			"test_accuracy": fmt.Sprintf("%.4f", testAcc),
-			"seed":          fmt.Sprintf("%d", seed),
-		}
-		return saveCheckpoint(models.Spec{Family: family, InC: 3, Size: size}, net, gmBlob, meta)
-	}
-	return nil
+	return reportNetwork(res, mspec, map[string]string{
+		"dataset":       "cifar",
+		"model":         model,
+		"test_accuracy": fmt.Sprintf("%.4f", testAcc),
+		"seed":          fmt.Sprintf("%d", seed),
+	})
 }
 
 // saveCheckpoint appends the trained model as a new version of the -save key
 // in the -store snapshot file, creating the file if it does not exist.
 func saveCheckpoint(spec models.Spec, net *nn.Network, gm []byte, meta map[string]string) error {
-	st, err := store.LoadOrNew(savePath)
-	if err != nil {
-		return err
-	}
 	ckpt, err := serve.NewCheckpoint(spec, net, gm, meta)
 	if err != nil {
 		return err
 	}
-	v, err := serve.PutCheckpoint(st, saveKey, ckpt)
+	v, err := serve.PublishCheckpoint(savePath, saveKey, ckpt)
 	if err != nil {
-		return err
-	}
-	if err := store.SaveFile(savePath, st); err != nil {
 		return err
 	}
 	fmt.Printf("checkpoint %s@v%d (%.12s…) written to %s\n", saveKey, v.Seq, v.Hash, savePath)

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"gmreg/internal/core"
+	"gmreg/internal/models"
 	"gmreg/internal/obs"
 	"gmreg/internal/reg"
 	"gmreg/internal/serve"
@@ -181,20 +182,20 @@ func InformativePriorFromStore(path, key string, tau float64) (PriorSpec, error)
 		return PriorSpec{}, fmt.Errorf("gmreg: rebuilding reference checkpoint %q: %w", key, err)
 	}
 	var means [][]float64
-	for _, p := range net.Params() {
-		if !p.Regularize {
-			continue
+	if ckpt.Spec.Family == "logreg" {
+		// The logreg trainer regularizes the In-dim logistic vector, not
+		// the serving network's dense matrix.
+		l, err := models.LogRegFromNetwork(net)
+		if err != nil {
+			return PriorSpec{}, fmt.Errorf("gmreg: reference checkpoint %q: %w", key, err)
 		}
-		w := p.W
-		// A saved logistic regression is stored as its two-class softmax
-		// equivalent (models.LogRegNetwork): row 0 all-zero, row 1 the
-		// logistic weights. The logreg trainer regularizes the In-dim
-		// logistic vector, so center the prior on row 1, not the 2·In
-		// dense matrix.
-		if ckpt.Spec.Family == "logreg" {
-			w = w[ckpt.Spec.In:]
+		means = [][]float64{l.W}
+	} else {
+		for _, p := range net.Params() {
+			if p.Regularize {
+				means = append(means, append([]float64(nil), p.W...))
+			}
 		}
-		means = append(means, append([]float64(nil), w...))
 	}
 	if len(means) == 0 {
 		return PriorSpec{}, fmt.Errorf("gmreg: reference checkpoint %q has no regularized parameter groups", key)

@@ -2,9 +2,13 @@ package gmreg
 
 import (
 	"math"
+	"path/filepath"
 	"testing"
 
 	"gmreg/internal/core"
+	"gmreg/internal/models"
+	"gmreg/internal/serve"
+	"gmreg/internal/tensor"
 )
 
 func TestFacadeGMRoundTrip(t *testing.T) {
@@ -109,5 +113,68 @@ func TestAliasesAreIdentities(t *testing.T) {
 	var c Config = core.DefaultConfig(0.1)
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// InformativePriorFromStore centers a logreg reference's prior on its In-dim
+// logistic weights, and a network reference's on each regularized group.
+func TestInformativePriorFromStore(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ref.store")
+	rng := tensor.NewRNG(4)
+	l := models.NewLogisticRegression(5, 0.1, rng)
+	ckpt, err := serve.NewCheckpoint(models.Spec{Family: "logreg", In: 5}, models.LogRegNetwork(l), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := serve.PublishCheckpoint(path, "lr", ckpt); err != nil {
+		t.Fatal(err)
+	}
+	mlpSpec := models.Spec{Family: "mlp", In: 5, Hidden: 3, Classes: 2}
+	mlp, err := mlpSpec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ckpt, err = serve.NewCheckpoint(mlpSpec, mlp, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := serve.PublishCheckpoint(path, "mlp", ckpt); err != nil {
+		t.Fatal(err)
+	}
+
+	spec, err := InformativePriorFromStore(path, "lr", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spec.Means) != 1 || len(spec.Means[0]) != len(l.W) {
+		t.Fatalf("logreg reference gave means of shape %d×%d, want 1×%d", len(spec.Means), len(spec.Means[0]), len(l.W))
+	}
+	for i, w := range l.W {
+		if spec.Means[0][i] != w {
+			t.Fatalf("mean %d = %v, want the stored weight %v", i, spec.Means[0][i], w)
+		}
+	}
+
+	spec, err = InformativePriorFromStore(path, "mlp", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]float64
+	for _, p := range mlp.Params() {
+		if p.Regularize {
+			want = append(want, p.W)
+		}
+	}
+	if len(spec.Means) != len(want) {
+		t.Fatalf("mlp reference gave %d means, want %d regularized groups", len(spec.Means), len(want))
+	}
+	for g := range want {
+		for i, w := range want[g] {
+			if spec.Means[g][i] != w {
+				t.Fatalf("group %d mean %d = %v, want %v", g, i, spec.Means[g][i], w)
+			}
+		}
+	}
+	if _, err := InformativePriorFromStore(path, "missing", 2); err == nil {
+		t.Fatal("missing reference key accepted")
 	}
 }

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"io"
-	"os"
 
 	"gmreg/internal/tensor"
 )
@@ -57,13 +55,4 @@ func RunAutotune(w io.Writer, _ Scale) (*AutotuneReport, error) {
 	}
 	t.write(w)
 	return rep, nil
-}
-
-// WriteAutotuneJSON writes the report as indented JSON.
-func WriteAutotuneJSON(path string, rep *AutotuneReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"gmreg/internal/data"
 	"gmreg/internal/models"
@@ -35,21 +33,13 @@ type DataParallelCase struct {
 
 // DataParallelReport is the full sweep written to BENCH_dataparallel.json.
 type DataParallelReport struct {
-	Env Env `json:"env"`
-	// ScalingValid records whether the speedup column measures real
-	// parallelism: false when effective GOMAXPROCS (min of GOMAXPROCS and
-	// NumCPU) is < 2, where every replica shares one CPU and the numbers
-	// only measure fan-out overhead; ScalingNote says why. Readers must not
-	// quote the speedup/efficiency columns of an invalid run as scaling
-	// results.
-	ScalingValid bool               `json:"scaling_valid"`
-	ScalingNote  string             `json:"scaling_note,omitempty"`
-	TrainN       int                `json:"train_n"`
-	ImageSize    int                `json:"image_size"`
-	Batch        int                `json:"batch"`
-	ShardSize    int                `json:"shard_size"`
-	Epochs       int                `json:"epochs"`
-	Cases        []DataParallelCase `json:"cases"`
+	Header
+	TrainN    int                `json:"train_n"`
+	ImageSize int                `json:"image_size"`
+	Batch     int                `json:"batch"`
+	ShardSize int                `json:"shard_size"`
+	Epochs    int                `json:"epochs"`
+	Cases     []DataParallelCase `json:"cases"`
 }
 
 // DataParallelJSONPath is where the experiment writes its JSON report.
@@ -66,14 +56,11 @@ func RunDataParallel(w io.Writer, s Scale) (*DataParallelReport, error) {
 	spec.Size = size
 	trainSet, _ := data.GenerateCIFAR(spec, s.Seed)
 
-	env := CaptureEnv()
 	rep := &DataParallelReport{
-		Env:          env,
-		ScalingValid: env.ScalingInvalidReason() == "",
-		ScalingNote:  env.ScalingInvalidReason(),
-		TrainN:       trainN,
-		ImageSize:    size,
-		Batch:        batch,
+		Header:    captureHeader(),
+		TrainN:    trainN,
+		ImageSize: size,
+		Batch:     batch,
 		// Pinned shard size: every replica count folds the same 8-shard
 		// partition, so all rows must report the identical final loss.
 		ShardSize: batch / 8,
@@ -120,6 +107,7 @@ func RunDataParallel(w io.Writer, s Scale) (*DataParallelReport, error) {
 		}
 	}
 
+	env := rep.Env
 	sectionHeader(w, "Data-parallel Alex-shaped training (pinned shard partition)")
 	fmt.Fprintf(w, "train=%d size=%d batch=%d shard=%d epochs=%d gomaxprocs=%d num_cpu=%d partition_grain=%d\n",
 		trainN, size, batch, rep.ShardSize, epochs, env.GOMAXPROCS, env.NumCPU, env.PartitionGrain)
@@ -131,13 +119,4 @@ func RunDataParallel(w io.Writer, s Scale) (*DataParallelReport, error) {
 	}
 	t.write(w)
 	return rep, nil
-}
-
-// WriteDataParallelJSON writes the report as indented JSON.
-func WriteDataParallelJSON(path string, rep *DataParallelReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

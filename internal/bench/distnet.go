@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"sync"
 
 	"gmreg/internal/data"
@@ -41,17 +39,12 @@ type DistnetCase struct {
 
 // DistnetReport is the full sweep written to BENCH_distnet.json.
 type DistnetReport struct {
-	Env Env `json:"env"`
-	// ScalingValid mirrors the dataparallel report: false when effective
-	// GOMAXPROCS < 2, where trainers share one CPU and the speedup column
-	// only measures protocol overhead; ScalingNote says why.
-	ScalingValid bool   `json:"scaling_valid"`
-	ScalingNote  string `json:"scaling_note,omitempty"`
-	TrainN       int    `json:"train_n"`
-	ImageSize    int    `json:"image_size"`
-	Batch        int    `json:"batch"`
-	ShardSize    int    `json:"shard_size"`
-	Epochs       int    `json:"epochs"`
+	Header
+	TrainN    int `json:"train_n"`
+	ImageSize int `json:"image_size"`
+	Batch     int `json:"batch"`
+	ShardSize int `json:"shard_size"`
+	Epochs    int `json:"epochs"`
 	// SequentialLoss is the train.Network baseline every distributed row
 	// must reproduce exactly.
 	SequentialLoss  float64       `json:"sequential_loss"`
@@ -75,14 +68,11 @@ func RunDistnet(w io.Writer, s Scale) (*DistnetReport, error) {
 	trainSet, _ := data.GenerateCIFAR(spec, s.Seed)
 	mspec := models.Spec{Family: "alex", InC: spec.Channels, Size: size}
 
-	env := CaptureEnv()
 	rep := &DistnetReport{
-		Env:          env,
-		ScalingValid: env.ScalingInvalidReason() == "",
-		ScalingNote:  env.ScalingInvalidReason(),
-		TrainN:       trainN,
-		ImageSize:    size,
-		Batch:        batch,
+		Header:    captureHeader(),
+		TrainN:    trainN,
+		ImageSize: size,
+		Batch:     batch,
 		// Pinned shard size: every trainer count folds the same 8-shard
 		// partition, so all rows must report the identical final loss.
 		ShardSize: batch / 8,
@@ -166,6 +156,7 @@ func RunDistnet(w io.Writer, s Scale) (*DistnetReport, error) {
 		c.Efficiency = c.Speedup / float64(c.Trainers)
 	}
 
+	env := rep.Env
 	sectionHeader(w, "Multi-process distributed training over loopback TCP (pinned shard partition)")
 	fmt.Fprintf(w, "train=%d size=%d batch=%d shard=%d epochs=%d gomaxprocs=%d num_cpu=%d partition_grain=%d\n",
 		trainN, size, batch, rep.ShardSize, epochs, env.GOMAXPROCS, env.NumCPU, env.PartitionGrain)
@@ -180,13 +171,4 @@ func RunDistnet(w io.Writer, s Scale) (*DistnetReport, error) {
 	}
 	t.write(w)
 	return rep, nil
-}
-
-// WriteDistnetJSON writes the report as indented JSON.
-func WriteDistnetJSON(path string, rep *DistnetReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

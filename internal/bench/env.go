@@ -50,6 +50,25 @@ func CaptureEnv() Env {
 	}
 }
 
+// Header opens every scaling-sensitive BENCH_*.json report (hotpath,
+// dataparallel, distnet, serveload): the environment plus one scaling stamp.
+type Header struct {
+	Env Env `json:"env"`
+	// ScalingValid is false when the run could not realize parallelism
+	// (effective GOMAXPROCS < 2): replicas, trainers, or load generator and
+	// server then share one CPU, so speedup, efficiency and latency-under-load
+	// numbers measure contention, not scaling. ScalingNote says why.
+	ScalingValid bool   `json:"scaling_valid"`
+	ScalingNote  string `json:"scaling_note,omitempty"`
+}
+
+// captureHeader snapshots the environment and stamps it.
+func captureHeader() Header {
+	env := CaptureEnv()
+	note := env.ScalingInvalidReason()
+	return Header{Env: env, ScalingValid: note == "", ScalingNote: note}
+}
+
 // ScalingInvalidReason returns "" when the environment can realize real
 // parallelism, or the reason scaling numbers must be stamped invalid. The
 // harness refuses to set scaling_valid:true whenever this is non-empty.

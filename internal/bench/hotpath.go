@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"testing"
 	"time"
 
@@ -45,13 +43,10 @@ type HotpathCase struct {
 
 // HotpathReport is the full comparison written to BENCH_hotpath.json.
 type HotpathReport struct {
-	Env Env `json:"env"`
-	// ScalingValid is false when the run could not realize parallelism
-	// (effective GOMAXPROCS < 2); ScalingNote says why. Single-thread
-	// speedups (the micro-kernel rows) remain meaningful either way.
-	ScalingValid bool          `json:"scaling_valid"`
-	ScalingNote  string        `json:"scaling_note,omitempty"`
-	Cases        []HotpathCase `json:"cases"`
+	// Single-thread speedups (the micro-kernel rows) remain meaningful
+	// whatever the scaling stamp says.
+	Header
+	Cases []HotpathCase `json:"cases"`
 }
 
 // HotpathJSONPath is where the hotpath experiment writes its JSON report.
@@ -69,12 +64,7 @@ func measureBench(f func(b *testing.B)) HotpathResult {
 // RunHotpath benchmarks the allocating kernels against their pooled
 // counterparts and prints the comparison table.
 func RunHotpath(w io.Writer, _ Scale) (*HotpathReport, error) {
-	env := CaptureEnv()
-	rep := &HotpathReport{
-		Env:          env,
-		ScalingValid: env.ScalingInvalidReason() == "",
-		ScalingNote:  env.ScalingInvalidReason(),
-	}
+	rep := &HotpathReport{Header: captureHeader()}
 	rng := tensor.NewRNG(1)
 
 	// MatMul 128×128×128 — the dense-layer shape class. The -micro row pins
@@ -287,6 +277,7 @@ func RunHotpath(w io.Writer, _ Scale) (*HotpathReport, error) {
 			})
 	}
 
+	env := rep.Env
 	sectionHeader(w, "Hot-path comparison (baseline = allocating APIs; -micro rows = PR-1 blocked kernels)")
 	fmt.Fprintf(w, "gomaxprocs=%d num_cpu=%d serial_cutoff=%d partition_grain=%d tile=%dx%d small_cutoff=%d tune=%s\n",
 		env.GOMAXPROCS, env.NumCPU, env.SerialCutoff, env.PartitionGrain,
@@ -310,15 +301,6 @@ func (r *HotpathReport) add(name string, baseline, after func(b *testing.B)) {
 		speedup = base.NsPerOp / aft.NsPerOp
 	}
 	r.Cases = append(r.Cases, HotpathCase{Name: name, Baseline: base, After: aft, Speedup: speedup})
-}
-
-// WriteHotpathJSON writes the report as indented JSON.
-func WriteHotpathJSON(path string, rep *HotpathReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // allocConv reconstructs the pre-arena Conv2D data path: every Forward and

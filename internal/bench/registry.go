@@ -22,6 +22,22 @@ type Options struct {
 // runner executes one experiment, discarding its structured result.
 type runner func(w io.Writer, s Scale, opt Options) error
 
+// reporting wraps an experiment that returns a JSON report into a runner
+// that also writes the report to path.
+func reporting[R any](path string, run func(io.Writer, Scale, Options) (R, error)) runner {
+	return func(w io.Writer, s Scale, opt Options) error {
+		rep, err := run(w, s, opt)
+		if err != nil {
+			return err
+		}
+		if err := writeJSON(path, rep); err != nil {
+			return err
+		}
+		fmt.Fprintln(w, "wrote", path)
+		return nil
+	}
+}
+
 // registry maps experiment ids to their runners. Ids follow the paper's
 // exhibit numbering plus the DESIGN.md §5 ablations.
 var registry = map[string]runner{
@@ -89,72 +105,21 @@ var registry = map[string]runner{
 		_, err := RunPriorAblation(w, s)
 		return err
 	},
-	"hotpath": func(w io.Writer, s Scale, _ Options) error {
-		rep, err := RunHotpath(w, s)
-		if err != nil {
-			return err
-		}
-		if err := WriteHotpathJSON(HotpathJSONPath, rep); err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "wrote", HotpathJSONPath)
-		return nil
-	},
-	"serve": func(w io.Writer, s Scale, _ Options) error {
-		rep, err := RunServe(w, s)
-		if err != nil {
-			return err
-		}
-		if err := WriteServeJSON(ServeJSONPath, rep); err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "wrote", ServeJSONPath)
-		return nil
-	},
-	"serveload": func(w io.Writer, s Scale, opt Options) error {
-		rep, err := RunServeLoad(w, s, opt.SLO)
-		if err != nil {
-			return err
-		}
-		if err := WriteServeLoadJSON(ServeLoadJSONPath, rep); err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "wrote", ServeLoadJSONPath)
-		return nil
-	},
-	"autotune": func(w io.Writer, s Scale, _ Options) error {
-		rep, err := RunAutotune(w, s)
-		if err != nil {
-			return err
-		}
-		if err := WriteAutotuneJSON(AutotuneJSONPath, rep); err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "wrote", AutotuneJSONPath)
-		return nil
-	},
-	"distnet": func(w io.Writer, s Scale, _ Options) error {
-		rep, err := RunDistnet(w, s)
-		if err != nil {
-			return err
-		}
-		if err := WriteDistnetJSON(DistnetJSONPath, rep); err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "wrote", DistnetJSONPath)
-		return nil
-	},
-	"dataparallel": func(w io.Writer, s Scale, _ Options) error {
-		rep, err := RunDataParallel(w, s)
-		if err != nil {
-			return err
-		}
-		if err := WriteDataParallelJSON(DataParallelJSONPath, rep); err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "wrote", DataParallelJSONPath)
-		return nil
-	},
+	"hotpath": reporting(HotpathJSONPath, func(w io.Writer, s Scale, _ Options) (*HotpathReport, error) {
+		return RunHotpath(w, s)
+	}),
+	"serveload": reporting(ServeLoadJSONPath, func(w io.Writer, s Scale, opt Options) (*ServeLoadReport, error) {
+		return RunServeLoad(w, s, opt.SLO)
+	}),
+	"autotune": reporting(AutotuneJSONPath, func(w io.Writer, s Scale, _ Options) (*AutotuneReport, error) {
+		return RunAutotune(w, s)
+	}),
+	"distnet": reporting(DistnetJSONPath, func(w io.Writer, s Scale, _ Options) (*DistnetReport, error) {
+		return RunDistnet(w, s)
+	}),
+	"dataparallel": reporting(DataParallelJSONPath, func(w io.Writer, s Scale, _ Options) (*DataParallelReport, error) {
+		return RunDataParallel(w, s)
+	}),
 }
 
 // ExperimentIDs returns all registered experiment ids, sorted.

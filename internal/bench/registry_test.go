@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -11,7 +12,7 @@ func TestExperimentIDsComplete(t *testing.T) {
 	want := []string{
 		"ablation-gamma", "ablation-grid", "ablation-hpo", "ablation-k", "ablation-merge", "ablation-priors",
 		"autotune", "dataparallel", "distnet", "fig3", "fig4", "fig5", "fig6", "fig7", "hotpath",
-		"serve", "serveload", "table4", "table5", "table6", "table7", "table8",
+		"serveload", "table4", "table5", "table6", "table7", "table8",
 	}
 	if len(ids) != len(want) {
 		t.Fatalf("ids = %v", ids)
@@ -61,5 +62,28 @@ func TestRunByIDDispatches(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "climate-model") || strings.Contains(out, "horse-colic") {
 		t.Fatal("dataset filter not honoured through the registry")
+	}
+}
+
+// The scaling-sensitive reports share one top-level header: env,
+// scaling_valid and (when invalid) scaling_note.
+func TestReportsShareHeader(t *testing.T) {
+	h := captureHeader()
+	h.ScalingValid, h.ScalingNote = false, "one CPU"
+	for _, rep := range []any{
+		&HotpathReport{Header: h}, &DataParallelReport{Header: h},
+		&DistnetReport{Header: h}, &ServeLoadReport{Header: h},
+	} {
+		raw, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var top map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &top); err != nil {
+			t.Fatal(err)
+		}
+		if string(top["scaling_valid"]) != "false" || string(top["scaling_note"]) != `"one CPU"` || top["env"] == nil {
+			t.Errorf("%T header keys: env=%s scaling_valid=%s scaling_note=%s", rep, top["env"], top["scaling_valid"], top["scaling_note"])
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 )
 
@@ -83,4 +85,13 @@ func fmtVec(xs []float64) string {
 
 func sectionHeader(w io.Writer, title string) {
 	fmt.Fprintf(w, "\n== %s ==\n", title)
+}
+
+// writeJSON writes a report to path as indented JSON.
+func writeJSON(path string, rep any) error {
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

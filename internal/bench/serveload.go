@@ -8,7 +8,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -51,15 +50,10 @@ type ServeLoadCase struct {
 
 // ServeLoadReport is the full sweep written to BENCH_serveload.json.
 type ServeLoadReport struct {
-	Env Env `json:"env"`
-	// ScalingValid is false when the host cannot realize parallelism
-	// (effective GOMAXPROCS < 2): generator and server then contend for one
-	// CPU and the latency numbers measure scheduling, not serving.
-	ScalingValid bool    `json:"scaling_valid"`
-	InvalidWhy   string  `json:"scaling_invalid_reason,omitempty"`
-	SLOMs        float64 `json:"slo_ms"`
-	Replicas     int     `json:"replicas"`
-	Workers      int     `json:"workers"`
+	Header
+	SLOMs    float64 `json:"slo_ms"`
+	Replicas int     `json:"replicas"`
+	Workers  int     `json:"workers"`
 	// AllocsPerRequest / BytesPerRequest are the steady-state /predict heap
 	// cost from the in-process probe (read → decode → predict → encode),
 	// gated in CI.
@@ -158,11 +152,8 @@ func RunServeLoad(w io.Writer, s Scale, slo time.Duration) (*ServeLoadReport, er
 		return nil, err
 	}
 
-	env := CaptureEnv()
 	rep := &ServeLoadReport{
-		Env:              env,
-		ScalingValid:     env.ScalingInvalidReason() == "",
-		InvalidWhy:       env.ScalingInvalidReason(),
+		Header:           captureHeader(),
 		SLOMs:            float64(slo) / float64(time.Millisecond),
 		Replicas:         replicas,
 		Workers:          workers,
@@ -184,7 +175,7 @@ func RunServeLoad(w io.Writer, s Scale, slo time.Duration) (*ServeLoadReport, er
 	}
 
 	sectionHeader(w, "Open-loop /predict latency under Poisson load")
-	env.warnScaling(w)
+	rep.Env.warnScaling(w)
 	fmt.Fprintf(w, "workers=%d replicas=%d calibrated=%.0f req/s slo(p99)=%.1fms allocs/req=%.2f (%.0f B)\n",
 		workers, replicas, calibrated, rep.SLOMs, allocs, bytesPerReq)
 	t := newTable("offered/s", "achieved/s", "ok", "shed", "err", "p50 ms", "p99 ms", "p99.9 ms", "SLO")
@@ -330,11 +321,10 @@ func postPredict(client *http.Client, url string, body []byte) (int, error) {
 	return resp.StatusCode, nil
 }
 
-// WriteServeLoadJSON writes the report as indented JSON.
-func WriteServeLoadJSON(path string, rep *ServeLoadReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
+func percentileMs(sorted []time.Duration, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	i := int(q * float64(len(sorted)-1))
+	return float64(sorted[i]) / float64(time.Millisecond)
 }

@@ -126,3 +126,15 @@ func LogRegNetwork(l *LogisticRegression) *nn.Network {
 	bias.W[0], bias.W[1] = 0, l.B
 	return net
 }
+
+// LogRegFromNetwork is the inverse of LogRegNetwork: it reads the logistic
+// weights (row 1 of the 2×In dense matrix) and the intercept (bias[1]) back
+// out of a logreg-family network. The returned model owns its weights.
+func LogRegFromNetwork(net *nn.Network) (*LogisticRegression, error) {
+	ps := net.Params()
+	if len(ps) != 2 || len(ps[0].W) == 0 || len(ps[0].W)%2 != 0 || len(ps[1].W) != 2 {
+		return nil, fmt.Errorf("models: network is not a two-class logistic regression")
+	}
+	in := len(ps[0].W) / 2
+	return &LogisticRegression{W: append([]float64(nil), ps[0].W[in:]...), B: ps[1].W[1]}, nil
+}

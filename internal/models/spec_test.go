@@ -91,4 +91,25 @@ func TestLogRegNetworkEquivalence(t *testing.T) {
 			t.Fatalf("sample %d: label %d, want %d", i, label, l.Predict(xi))
 		}
 	}
+
+	// LogRegFromNetwork inverts the mapping bit for bit.
+	back, err := LogRegFromNetwork(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.B != l.B || len(back.W) != len(l.W) {
+		t.Fatalf("inverse gave %d weights, bias %v; want %d, %v", len(back.W), back.B, len(l.W), l.B)
+	}
+	for i := range l.W {
+		if math.Float64bits(back.W[i]) != math.Float64bits(l.W[i]) {
+			t.Fatalf("weight %d: inverse %v, want %v", i, back.W[i], l.W[i])
+		}
+	}
+	mlp, err := Spec{Family: "mlp", In: 6, Hidden: 4, Classes: 2}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LogRegFromNetwork(mlp); err == nil {
+		t.Fatal("LogRegFromNetwork accepted an MLP")
+	}
 }

@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
+	"io/fs"
 	"strconv"
 	"sync"
 	"time"
@@ -18,6 +18,7 @@ import (
 	"gmreg/internal/serve"
 	"gmreg/internal/store"
 	"gmreg/internal/tensor"
+	"gmreg/internal/train"
 )
 
 // Config tunes one online training run.
@@ -169,7 +170,9 @@ func newMetrics(r *obs.Registry, key string) *metrics {
 // steps and a final one at exit. The feature dimension is learned from the
 // first sample; if the store already holds a logreg checkpoint of that
 // dimension under Key, its weights warm-start the run (fine-tuning the
-// deployed model instead of restarting from noise).
+// deployed model instead of restarting from noise). A store file or a Key
+// checkpoint that exists but cannot be decoded is an error, returned before
+// any step or publish.
 func Run(ctx context.Context, src Source, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -192,10 +195,11 @@ func Run(ctx context.Context, src Source, cfg Config) (*Result, error) {
 	rng := tensor.NewRNG(cfg.Seed)
 	const initStd = 0.1
 	model := models.NewLogisticRegression(m, initStd, rng)
-	res := &Result{}
-	if warmStart(cfg.Store, cfg.Key, model) {
-		res.WarmStarted = true
+	warm, err := warmStart(cfg.Store, cfg.Key, model)
+	if err != nil {
+		return nil, err
 	}
+	res := &Result{WarmStarted: warm}
 
 	gmCfg := core.DefaultConfig(initStd)
 	if cfg.Gamma > 0 {
@@ -223,10 +227,7 @@ func Run(ctx context.Context, src Source, cfg Config) (*Result, error) {
 	pf := data.NewPrefetcherFunc(len(b.slots), b.fill)
 	defer pf.Close()
 
-	gw := make([]float64, m)
-	greg := make([]float64, m)
-	vel := make([]float64, m)
-	var velB float64
+	sgd := train.NewLogRegSGD(model, prior, cfg.Momentum)
 	rows := make([][]float64, 0, cfg.Batch)
 	// LossGrad indexes a whole dataset through a row list; each stream batch
 	// is its own dataset, so the row list is just 0..n-1.
@@ -246,20 +247,11 @@ func Run(ctx context.Context, src Source, cfg Config) (*Result, error) {
 		for i := 0; i < n; i++ {
 			rows = append(rows, x.Data[i*m:(i+1)*m])
 		}
-		loss, gb := model.LossGrad(rows, y, rowIdx[:n], gw)
-		prior.Grad(model.W, greg)
 		// The MAP objective weights the prior by 1/N; online, N is the
 		// evidence so far, so regularization fades as the stream grows —
 		// and re-tightens only through the mixture itself adapting.
 		res.Samples += n
-		regScale := 1 / float64(res.Samples)
-		tensor.Axpy(regScale, greg, gw)
-		for i := range vel {
-			vel[i] = cfg.Momentum*vel[i] - cfg.LR*gw[i]
-			model.W[i] += vel[i]
-		}
-		velB = cfg.Momentum*velB - cfg.LR*gb
-		model.B += velB
+		loss := sgd.Step(rows, y, rowIdx[:n], 1/float64(res.Samples), cfg.LR)
 		res.Steps++
 		res.LastLoss = loss
 		stepsSincePublish++
@@ -326,15 +318,8 @@ func publish(cfg Config, model *models.LogisticRegression, prior *core.OnlineGM,
 	if err != nil {
 		return err
 	}
-	st, err := store.LoadOrNew(cfg.Store)
+	v, err := serve.PublishCheckpoint(cfg.Store, cfg.Key, ckpt)
 	if err != nil {
-		return err
-	}
-	v, err := serve.PutCheckpoint(st, cfg.Key, ckpt)
-	if err != nil {
-		return err
-	}
-	if err := store.SaveFile(cfg.Store, st); err != nil {
 		return err
 	}
 	lat := time.Since(t0).Seconds()
@@ -354,40 +339,40 @@ func publish(cfg Config, model *models.LogisticRegression, prior *core.OnlineGM,
 }
 
 // warmStart loads the latest logreg checkpoint of matching dimension for key
-// from the snapshot at path into model, reporting whether it did.
-func warmStart(path, key string, model *models.LogisticRegression) bool {
-	if _, err := os.Stat(path); err != nil {
-		return false
-	}
+// from the snapshot at path into model, reporting whether it did. A missing
+// file or key, or a checkpoint of another family or dimension, means a cold
+// start. A store or checkpoint that exists but cannot be read or decoded is
+// an error: starting cold would publish a fresh model over the deployed one.
+func warmStart(path, key string, model *models.LogisticRegression) (bool, error) {
 	st, err := store.LoadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return false, nil
+	}
 	if err != nil {
-		return false
+		return false, fmt.Errorf("online: warm start: %w", err)
 	}
 	blob, _, err := st.Get(key)
 	if err != nil {
-		return false
+		return false, nil // the key's only failure: not stored yet
 	}
 	ckpt, err := serve.UnmarshalCheckpoint(blob)
-	if err != nil || ckpt.Spec.Family != "logreg" || ckpt.Spec.In != len(model.W) {
-		return false
+	if err != nil {
+		return false, fmt.Errorf("online: warm start from %q: %w", key, err)
+	}
+	if ckpt.Spec.Family != "logreg" || ckpt.Spec.In != len(model.W) {
+		return false, nil
 	}
 	net, err := ckpt.Build()
 	if err != nil {
-		return false
+		return false, fmt.Errorf("online: warm start from %q: %w", key, err)
 	}
-	// Invert models.LogRegNetwork: dense weights are 2×In row-major with
-	// row 1 carrying the logistic weights, bias[1] the intercept.
-	ps := net.Params()
-	if len(ps) < 2 {
-		return false
+	l, err := models.LogRegFromNetwork(net)
+	if err != nil {
+		return false, fmt.Errorf("online: warm start from %q: %w", key, err)
 	}
-	in := len(model.W)
-	if len(ps[0].W) != 2*in || len(ps[1].W) != 2 {
-		return false
-	}
-	copy(model.W, ps[0].W[in:])
-	model.B = ps[1].W[1]
-	return true
+	copy(model.W, l.W)
+	model.B = l.B
+	return true, nil
 }
 
 // batcher assembles stream samples into recycled minibatch slots for the

@@ -1,16 +1,20 @@
 package online
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
+	"gmreg/internal/models"
 	"gmreg/internal/obs"
 	"gmreg/internal/serve"
 	"gmreg/internal/store"
+	"gmreg/internal/tensor"
 )
 
 // sliceSource replays a fixed sample slice, then ends (io.EOF).
@@ -165,6 +169,36 @@ func TestRunWarmStartsFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("first Run: %v", err)
 	}
+
+	// The restored W and B are the stored checkpoint's, bit for bit: the
+	// warm-started model maps back onto exactly the published weights.
+	st, err := store.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, _, err := st.Get("synth")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := serve.UnmarshalCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := models.NewLogisticRegression(2, 0.1, tensor.NewRNG(99))
+	if ok, err := warmStart(path, "synth", model); !ok || err != nil {
+		t.Fatalf("warmStart = %v, %v; want true, nil", ok, err)
+	}
+	restored, err := serve.NewCheckpoint(stored.Spec, models.LogRegNetwork(model), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := weightBits(t, stored, restored.Weights), weightBits(t, stored, stored.Weights)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("restored parameter %d is %v, stored %v", i, math.Float64frombits(got[i]), math.Float64frombits(want[i]))
+		}
+	}
+
 	second, err := Run(context.Background(), &sliceSource{samples: synthStream(320, 0)}, cfg)
 	if err != nil {
 		t.Fatalf("second Run: %v", err)
@@ -223,5 +257,83 @@ func TestRunRejectsDimensionChange(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("mid-stream dimension change accepted")
+	}
+}
+
+// TestRunRefusesCorruptStore: a store file that exists but cannot be read,
+// or a key whose checkpoint cannot be decoded, stops the run before it
+// trains or publishes; a checkpoint of another dimension still cold-starts.
+func TestRunRefusesCorruptStore(t *testing.T) {
+	logreg := func(in int) *serve.Checkpoint {
+		l := models.NewLogisticRegression(in, 0.1, tensor.NewRNG(5))
+		c, err := serve.NewCheckpoint(models.Spec{Family: "logreg", In: in}, models.LogRegNetwork(l), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	cases := []struct {
+		name    string
+		plant   func(path string)
+		wantErr bool
+	}{
+		{"truncated store", func(path string) {
+			if _, err := serve.PublishCheckpoint(path, "synth", logreg(2)); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, true},
+		{"undecodable checkpoint", func(path string) {
+			st := store.New()
+			if _, err := st.Put("synth", []byte("not a checkpoint")); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.SaveFile(path, st); err != nil {
+				t.Fatal(err)
+			}
+		}, true},
+		{"other dimension", func(path string) {
+			if _, err := serve.PublishCheckpoint(path, "synth", logreg(3)); err != nil {
+				t.Fatal(err)
+			}
+		}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "online.store")
+			tc.plant(path)
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(context.Background(), &sliceSource{samples: synthStream(64, 0)}, Config{
+				Store: path, Key: "synth", Batch: 16, PublishEvery: 2, Seed: 7,
+			})
+			if !tc.wantErr {
+				if err != nil || res.WarmStarted || res.Publishes == 0 {
+					t.Fatalf("Run = %+v, %v; want a cold start that publishes", res, err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("Run over a corrupt store succeeded: %+v", res)
+			}
+			if res != nil && (res.Steps > 0 || res.Publishes > 0) {
+				t.Fatalf("Run trained %d steps and published %d times before failing", res.Steps, res.Publishes)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatal("the corrupt store file was rewritten")
+			}
+		})
 	}
 }

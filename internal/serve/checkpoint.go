@@ -106,3 +106,22 @@ func PutCheckpoint(st *store.Store, key string, c *Checkpoint) (store.Version, e
 	}
 	return st.Put(key, b)
 }
+
+// PublishCheckpoint appends c as a new version of key in the store snapshot
+// file at path, creating the file if it is missing, and rewrites the file
+// atomically and durably (store.SaveFile), so a watching server picks the
+// version up whole or not at all.
+func PublishCheckpoint(path, key string, c *Checkpoint) (store.Version, error) {
+	st, err := store.LoadOrNew(path)
+	if err != nil {
+		return store.Version{}, err
+	}
+	v, err := PutCheckpoint(st, key, c)
+	if err != nil {
+		return store.Version{}, err
+	}
+	if err := store.SaveFile(path, st); err != nil {
+		return store.Version{}, err
+	}
+	return v, nil
+}

@@ -124,8 +124,8 @@ func LoadFile(path string) (*Store, error) {
 }
 
 // LoadOrNew is LoadFile, except a missing file yields an empty store — the
-// convenience `gmreg-train -save` uses to create or append to a checkpoint
-// store in one call.
+// convenience serve.PublishCheckpoint uses to create or append to a
+// checkpoint store in one call.
 func LoadOrNew(path string) (*Store, error) {
 	s, err := LoadFile(path)
 	if os.IsNotExist(err) {

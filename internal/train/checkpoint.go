@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"gmreg/internal/core"
-	"gmreg/internal/models"
 	"gmreg/internal/nn"
 	"gmreg/internal/obs"
 	"gmreg/internal/reg"
@@ -662,9 +661,8 @@ func restoreHistory(hist *History, st *State) {
 // epoch boundary: weights + bias and their velocities, the row permutation
 // and shuffle-RNG position, the optional Barzilai–Borwein state, the
 // regularizer, and the loss history.
-func captureLogReg(cfg SGDConfig, model *models.LogisticRegression, r reg.Regularizer,
-	vel []float64, velB float64, rng *tensor.RNG, rows []int, bb *BBState, hist *History) *State {
-	regStates, priorStates := captureRegs(map[string]reg.Regularizer{"weights": r})
+func captureLogReg(cfg SGDConfig, sgd *LogRegSGD, rng *tensor.RNG, rows []int, bb *BBState, hist *History) *State {
+	regStates, priorStates := captureRegs(map[string]reg.Regularizer{"weights": sgd.prior})
 	st := &State{
 		Kind:            KindLogReg,
 		Seed:            cfg.Seed,
@@ -675,10 +673,10 @@ func captureLogReg(cfg SGDConfig, model *models.LogisticRegression, r reg.Regula
 		LRDecayEvery:    cfg.LRDecayEvery,
 		LRDecayFactor:   cfg.LRDecayFactor,
 		BarzilaiBorwein: cfg.BarzilaiBorwein,
-		Groups:          []GroupState{{Name: "weights", W: f64s(model.W), Vel: f64s(vel)}},
+		Groups:          []GroupState{{Name: "weights", W: f64s(sgd.model.W), Vel: f64s(sgd.vel)}},
 		Regs:            regStates,
-		Bias:            model.B,
-		BiasVel:         velB,
+		Bias:            sgd.model.B,
+		BiasVel:         sgd.velB,
 		Rows:            append([]int(nil), rows...),
 		RNG:             rng.State(),
 		BB:              bb,
@@ -691,16 +689,15 @@ func captureLogReg(cfg SGDConfig, model *models.LogisticRegression, r reg.Regula
 // restoreLogReg loads a KindLogReg state back into a freshly initialized
 // trainer. rows and vel are overwritten in place; the RNG resumes at the
 // captured stream position.
-func restoreLogReg(st *State, cfg SGDConfig, model *models.LogisticRegression, r reg.Regularizer,
-	vel []float64, velB *float64, rng *tensor.RNG, rows []int, hist *History) error {
+func restoreLogReg(st *State, cfg SGDConfig, sgd *LogRegSGD, rng *tensor.RNG, rows []int, hist *History) error {
 	if err := checkEcho(st, KindLogReg, cfg, 0); err != nil {
 		return err
 	}
 	if len(st.Groups) != 1 || st.Groups[0].Name != "weights" {
 		return fmt.Errorf("train: logreg checkpoint must hold exactly one %q group", "weights")
 	}
-	g := st.Groups[0]
-	if len(g.W) != len(model.W) || len(g.Vel) != len(vel) {
+	g, model := st.Groups[0], sgd.model
+	if len(g.W) != len(model.W) || len(g.Vel) != len(sgd.vel) {
 		return fmt.Errorf("train: checkpoint has %d weights, model has %d", len(g.W), len(model.W))
 	}
 	if len(st.Rows) != len(rows) {
@@ -708,12 +705,12 @@ func restoreLogReg(st *State, cfg SGDConfig, model *models.LogisticRegression, r
 			len(st.Rows), len(rows))
 	}
 	copy(model.W, g.W)
-	copy(vel, g.Vel)
+	copy(sgd.vel, g.Vel)
 	model.B = st.Bias
-	*velB = st.BiasVel
+	sgd.velB = st.BiasVel
 	copy(rows, st.Rows)
 	rng.SetState(st.RNG)
-	if err := restoreRegs(st, map[string]reg.Regularizer{"weights": r}); err != nil {
+	if err := restoreRegs(st, map[string]reg.Regularizer{"weights": sgd.prior}); err != nil {
 		return err
 	}
 	restoreHistory(hist, st)

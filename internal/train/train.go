@@ -185,11 +185,7 @@ func LogReg(task *data.Task, trainRows []int, cfg SGDConfig, factory reg.Factory
 		ea.SetBatchesPerEpoch(nBatches)
 	}
 	regScale := 1 / float64(len(trainRows))
-
-	gw := make([]float64, m)
-	greg := make([]float64, m)
-	vel := make([]float64, m)
-	var velB float64
+	sgd := NewLogRegSGD(model, r, cfg.Momentum)
 	hist := &History{}
 
 	// Barzilai–Borwein bookkeeping: previous epoch's final iterate and
@@ -211,7 +207,7 @@ func LogReg(task *data.Task, trainRows []int, cfg SGDConfig, factory reg.Factory
 	startEpoch := 0
 	if cfg.Ckpt != nil && cfg.Ckpt.Resume != nil {
 		st := cfg.Ckpt.Resume
-		if err := restoreLogReg(st, cfg, model, r, vel, &velB, rng, rows, hist); err != nil {
+		if err := restoreLogReg(st, cfg, sgd, rng, rows, hist); err != nil {
 			return nil, err
 		}
 		if bb {
@@ -229,7 +225,7 @@ func LogReg(task *data.Task, trainRows []int, cfg SGDConfig, factory reg.Factory
 		if bb {
 			bbState = &BBState{PrevW: f64s(prevW), PrevAvgG: f64s(prevAvgG), LR: lr}
 		}
-		return captureLogReg(cfg, model, r, vel, velB, rng, rows, bbState, hist)
+		return captureLogReg(cfg, sgd, rng, rows, bbState, hist)
 	}
 	completed := startEpoch
 	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
@@ -248,19 +244,10 @@ func LogReg(task *data.Task, trainRows []int, cfg SGDConfig, factory reg.Factory
 			if hi > len(rows) {
 				hi = len(rows)
 			}
-			loss, gb := model.LossGrad(task.X, task.Y, rows[lo:hi], gw)
-			epochLoss += loss
-			r.Grad(model.W, greg)
-			tensor.Axpy(regScale, greg, gw)
+			epochLoss += sgd.Step(task.X, task.Y, rows[lo:hi], regScale, lr)
 			if bb {
-				tensor.Axpy(1/float64(nBatches), gw, avgG)
+				tensor.Axpy(1/float64(nBatches), sgd.gw, avgG)
 			}
-			for i := range vel {
-				vel[i] = cfg.Momentum*vel[i] - lr*gw[i]
-				model.W[i] += vel[i]
-			}
-			velB = cfg.Momentum*velB - lr*gb
-			model.B += velB
 		}
 		if bb {
 			if epoch > 0 {
@@ -287,6 +274,47 @@ func LogReg(task *data.Task, trainRows []int, cfg SGDConfig, factory reg.Factory
 		}
 	}
 	return &LogRegResult{Model: model, Regularizer: r, History: hist}, nil
+}
+
+// LogRegSGD is the logistic-regression update every trainer runs, offline
+// (LogReg) and online (online.Run): the minibatch data-misfit gradient plus
+// the prior's gradient scaled by regScale, then a classical-momentum step on
+// the weights and the unregularized bias.
+type LogRegSGD struct {
+	model    *models.LogisticRegression
+	prior    reg.Regularizer
+	momentum float64
+	// gw is the last step's combined gradient (gll + regScale·greg), which
+	// Barzilai–Borwein averages; greg is the prior-gradient scratch.
+	gw, greg []float64
+	// vel and velB are the weight and bias velocities a checkpoint carries.
+	vel  []float64
+	velB float64
+}
+
+// NewLogRegSGD prepares the update for model under prior with the given
+// momentum coefficient (0 is plain SGD).
+func NewLogRegSGD(model *models.LogisticRegression, prior reg.Regularizer, momentum float64) *LogRegSGD {
+	m := len(model.W)
+	return &LogRegSGD{
+		model: model, prior: prior, momentum: momentum,
+		gw: make([]float64, m), greg: make([]float64, m), vel: make([]float64, m),
+	}
+}
+
+// Step applies one update from the minibatch rows of x (labels y) at step
+// size lr and returns the minibatch's mean negative log likelihood.
+func (s *LogRegSGD) Step(x [][]float64, y []int, rows []int, regScale, lr float64) float64 {
+	loss, gb := s.model.LossGrad(x, y, rows, s.gw)
+	s.prior.Grad(s.model.W, s.greg)
+	tensor.Axpy(regScale, s.greg, s.gw)
+	for i := range s.vel {
+		s.vel[i] = s.momentum*s.vel[i] - lr*s.gw[i]
+		s.model.W[i] += s.vel[i]
+	}
+	s.velB = s.momentum*s.velB - lr*gb
+	s.model.B += s.velB
+	return loss
 }
 
 // bbStep computes the SGD-BB step size from successive iterates and
