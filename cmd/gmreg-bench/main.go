@@ -7,7 +7,7 @@
 //	gmreg-bench -exp all
 //
 // Experiments: table4, table5, table6, table7, table8, fig3, fig4, fig5,
-// fig6, fig7, hotpath, serveload, dataparallel, distnet, autotune, all. Scales: small
+// fig6, fig7, hotpath, serveload, dataparallel, distnet, all. Scales: small
 // (minutes) and full (hours on CPU; matches the paper's budgets where
 // feasible). See EXPERIMENTS.md for the recorded paper-vs-measured
 // comparison. The hotpath experiment benchmarks the allocating kernels
@@ -24,17 +24,13 @@
 // counts × prefetch and writes BENCH_dataparallel.json; the distnet
 // experiment sweeps multi-process trainer counts over loopback TCP
 // (coordinator + R trainers, final loss checked bit-equal to the sequential
-// baseline) and writes BENCH_distnet.json; the autotune
-// experiment runs the kernel calibration sweep, writes BENCH_autotune.json,
-// and persists the winning config to the per-host cache file
-// (~/.cache/gmreg/autotune-<hostname>-<gomaxprocs>.json, honored at startup
-// unless GMREG_AUTOTUNE=off).
+// baseline) and writes BENCH_distnet.json.
 //
 // The harness runs on all cores by default; -procs pins both GOMAXPROCS and
 // the kernel partition grain. Every BENCH_*.json embeds an env header (go
 // version, GOMAXPROCS, NumCPU, serial cutoff, partition grain, tile shape,
-// autotune source) so results are reproducible on another host, and the
-// hotpath, dataparallel, distnet and serveload reports stamp
+// packing cutoff, tune source) so results are reproducible on another host,
+// and the hotpath, dataparallel, distnet and serveload reports stamp
 // scaling_valid:false — with the reason in scaling_note — whenever effective
 // GOMAXPROCS (min of GOMAXPROCS and NumCPU) is below 2.
 package main
@@ -53,7 +49,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id: table4|table5|table6|table7|table8|fig3|fig4|fig5|fig6|fig7|ablation-k|ablation-merge|ablation-gamma|ablation-grid|ablation-hpo|ablation-priors|hotpath|serveload|dataparallel|distnet|autotune|ablations|all")
+		exp      = flag.String("exp", "all", "experiment id: table4|table5|table6|table7|table8|fig3|fig4|fig5|fig6|fig7|ablation-k|ablation-merge|ablation-gamma|ablation-grid|ablation-hpo|ablation-priors|hotpath|serveload|dataparallel|distnet|ablations|all")
 		scale    = flag.String("scale", "small", "experiment scale: small|full")
 		model    = flag.String("model", "alex", "model for fig4/fig5/fig6/fig7/table8: alex|resnet")
 		datasets = flag.String("datasets", "", "comma-separated dataset filter for table7 (default: all 12)")

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"io"
+	"sort"
 	"strings"
 	"testing"
 
@@ -241,23 +243,52 @@ func TestRunInitStudyGrid(t *testing.T) {
 	}
 }
 
+// medianTotals runs a timing figure rounds times on process CPU time
+// (useCPUClock) and returns each series' median convergence time in seconds,
+// plus the last round's series. Every round runs every series, so the
+// repeats interleave: a burst of noise lands on one round of each series
+// instead of on every round of one series.
+func medianTotals(t *testing.T, rounds int, run func() ([]TimingSeries, error)) ([]float64, []TimingSeries) {
+	t.Helper()
+	useCPUClock(t)
+	var totals [][]float64
+	var series []TimingSeries
+	for r := 0; r < rounds; r++ {
+		var err error
+		if series, err = run(); err != nil {
+			t.Fatal(err)
+		}
+		if totals == nil {
+			totals = make([][]float64, len(series))
+		}
+		for i, ts := range series {
+			totals[i] = append(totals[i], ts.Total().Seconds())
+		}
+	}
+	med := make([]float64, len(totals))
+	for i, xs := range totals {
+		sort.Float64s(xs)
+		med[i] = xs[len(xs)/2]
+	}
+	return med, series
+}
+
 // Fig. 5 shape: larger Im must be monotonically cheaper, with Im=50 well
-// below half of Im=1 (the paper reports ~4×).
+// below half of Im=1 (the paper reports ~4×). Times are medians of CPU time
+// (medianTotals), so load from other processes cannot reorder the series.
 func TestRunFigure5LazySpeedupShape(t *testing.T) {
-	var buf bytes.Buffer
 	s := microScale()
 	s.TimingEpochs = 10
-	series, err := RunFigure5(&buf, s, ModelAlex)
-	if err != nil {
-		t.Fatal(err)
-	}
+	totals, series := medianTotals(t, 3, func() ([]TimingSeries, error) {
+		return RunFigure5(io.Discard, s, ModelAlex)
+	})
 	if len(series) != len(ImValues)+1 {
 		t.Fatalf("%d series, want %d", len(series), len(ImValues)+1)
 	}
-	t1 := series[0].Total().Seconds()  // Im=1
-	t50 := series[5].Total().Seconds() // Im=50
+	t1 := totals[0]  // Im=1
+	t50 := totals[5] // Im=50
 	if t50 >= t1/2 {
-		t.Errorf("lazy update speedup too small: Im=1 %.3fs vs Im=50 %.3fs", t1, t50)
+		t.Errorf("lazy update speedup too small: Im=1 %.3fs vs Im=50 %.3fs CPU", t1, t50)
 	}
 	// Cumulative times grow monotonically within each series.
 	for _, ts := range series {
@@ -268,31 +299,30 @@ func TestRunFigure5LazySpeedupShape(t *testing.T) {
 		}
 	}
 	// The L2 baseline is the cheapest of all.
-	baseline := series[len(series)-1].Total().Seconds()
+	baseline := totals[len(totals)-1]
 	if baseline >= t1 {
-		t.Errorf("baseline (%.3fs) should undercut Im=1 (%.3fs)", baseline, t1)
+		t.Errorf("baseline (%.3fs CPU) should undercut Im=1 (%.3fs CPU)", baseline, t1)
 	}
 }
 
 // Fig. 6 shape: growing Ig beyond Im=50 reduces the GM-parameter update
 // work. The wall-clock difference is only ~1-2% (the paper's Fig. 6 shows
 // 960s → 945s), far below scheduler noise at test scale, so the test checks
-// the deterministic mechanism — the M-step count — plus a loose time guard.
+// the deterministic mechanism — the M-step count — plus a loose guard on
+// median CPU time.
 func TestRunFigure6IgShape(t *testing.T) {
-	var buf bytes.Buffer
 	s := microScale()
 	s.TimingEpochs = 10
-	series, err := RunFigure6(&buf, s, ModelAlex)
-	if err != nil {
-		t.Fatal(err)
-	}
+	totals, series := medianTotals(t, 5, func() ([]TimingSeries, error) {
+		return RunFigure6(io.Discard, s, ModelAlex)
+	})
 	if len(series) != len(IgValues) {
 		t.Fatalf("%d series, want %d", len(series), len(IgValues))
 	}
-	first := series[0].Total().Seconds()
-	last := series[len(series)-1].Total().Seconds()
+	first := totals[0]
+	last := totals[len(totals)-1]
 	if last > first*1.5 {
-		t.Errorf("Ig=500 (%.3fs) dramatically exceeds Ig=50 (%.3fs)", last, first)
+		t.Errorf("Ig=500 (%.3fs CPU) dramatically exceeds Ig=50 (%.3fs CPU)", last, first)
 	}
 	// Deterministic mechanism: M-steps scale as 1/Ig for a fixed iteration
 	// budget while E-steps stay constant (Im fixed at 50). The budget must
@@ -316,21 +346,19 @@ func TestRunFigure6IgShape(t *testing.T) {
 	}
 }
 
-// Fig. 7 shape: smaller warm-up E is cheaper.
+// Fig. 7 shape: smaller warm-up E is cheaper in median CPU time.
 func TestRunFigure7EShape(t *testing.T) {
-	var buf bytes.Buffer
 	s := microScale()
-	series, err := RunFigure7(&buf, s, ModelAlex)
-	if err != nil {
-		t.Fatal(err)
-	}
+	totals, series := medianTotals(t, 3, func() ([]TimingSeries, error) {
+		return RunFigure7(io.Discard, s, ModelAlex)
+	})
 	if len(series) != len(s.EValues)+1 {
 		t.Fatalf("%d series, want %d", len(series), len(s.EValues)+1)
 	}
-	eMax := series[0].Total().Seconds()             // E = 3 (micro scale)
-	eMin := series[len(series)-2].Total().Seconds() // E = 1
+	eMax := totals[0]             // E = 3 (micro scale)
+	eMin := totals[len(totals)-2] // E = 1
 	if eMin >= eMax {
-		t.Errorf("E=1 (%.3fs) should be cheaper than E=max (%.3fs)", eMin, eMax)
+		t.Errorf("E=1 (%.3fs CPU) should be cheaper than E=max (%.3fs CPU)", eMin, eMax)
 	}
 }
 

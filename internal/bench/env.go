@@ -10,9 +10,9 @@ import (
 )
 
 // Env is the reproducibility header embedded in every BENCH_*.json report:
-// the resolved kernel tunables (serial cutoff, partition grain, tile shape,
-// packing cutoff and where that configuration came from) plus the host
-// facts needed to re-create a measurement on another machine.
+// the kernel settings in effect (serial cutoff, partition grain, tile shape,
+// packing cutoff and whether the tile and cutoff are the compiled-in ones)
+// plus the host facts needed to re-create a measurement on another machine.
 type Env struct {
 	GoVersion  string `json:"go_version"`
 	Hostname   string `json:"hostname"`
@@ -26,8 +26,8 @@ type Env struct {
 	TileM          int `json:"tile_m"`
 	TileN          int `json:"tile_n"`
 	SmallCutoff    int `json:"small_cutoff"`
-	// TuneSource is where the kernel tunables came from: "default", "file"
-	// (persisted autotune), "calibrated", or "manual".
+	// TuneSource is "default" when the tile and packing cutoff are the
+	// compiled-in values, or "manual" after SetTileShape/SetSmallCutoff.
 	TuneSource string `json:"tune_source"`
 }
 

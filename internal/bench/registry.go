@@ -111,9 +111,6 @@ var registry = map[string]runner{
 	"serveload": reporting(ServeLoadJSONPath, func(w io.Writer, s Scale, opt Options) (*ServeLoadReport, error) {
 		return RunServeLoad(w, s, opt.SLO)
 	}),
-	"autotune": reporting(AutotuneJSONPath, func(w io.Writer, s Scale, _ Options) (*AutotuneReport, error) {
-		return RunAutotune(w, s)
-	}),
 	"distnet": reporting(DistnetJSONPath, func(w io.Writer, s Scale, _ Options) (*DistnetReport, error) {
 		return RunDistnet(w, s)
 	}),

@@ -11,7 +11,7 @@ func TestExperimentIDsComplete(t *testing.T) {
 	ids := ExperimentIDs()
 	want := []string{
 		"ablation-gamma", "ablation-grid", "ablation-hpo", "ablation-k", "ablation-merge", "ablation-priors",
-		"autotune", "dataparallel", "distnet", "fig3", "fig4", "fig5", "fig6", "fig7", "hotpath",
+		"dataparallel", "distnet", "fig3", "fig4", "fig5", "fig6", "fig7", "hotpath",
 		"serveload", "table4", "table5", "table6", "table7", "table8",
 	}
 	if len(ids) != len(want) {

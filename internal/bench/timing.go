@@ -60,11 +60,17 @@ func (t TimingSeries) Total() time.Duration {
 	return t.EpochTime[len(t.EpochTime)-1]
 }
 
+// timingNow is the clock runTimingSeries reads. The figures report wall
+// time; the shape tests swap in process CPU time, which other processes on
+// the host cannot inflate.
+var timingNow = time.Now
+
 // runTimingSeries drives one regularizer setting over the model's parameter
 // geometry for the given number of epochs and minibatch iterations per
-// epoch, measuring wall-clock time. The SGD trajectory is simulated: each
-// layer's parameters drift towards a two-scale target (signal + noise dims)
-// under noisy gradients, which is the regime the GM adapts to.
+// epoch, measuring elapsed time on timingNow. The SGD trajectory is
+// simulated: each layer's parameters drift towards a two-scale target
+// (signal + noise dims) under noisy gradients, which is the regime the GM
+// adapts to.
 func runTimingSeries(label string, layers []layerSpec, factory reg.Factory, epochs, batches int, seed uint64) TimingSeries {
 	type layerState struct {
 		w, greg, target []float64
@@ -101,7 +107,7 @@ func runTimingSeries(label string, layers []layerSpec, factory reg.Factory, epoc
 	}
 	const lr = 0.05
 	series := TimingSeries{Label: label}
-	start := time.Now()
+	start := timingNow()
 	for e := 0; e < epochs; e++ {
 		for b := 0; b < batches; b++ {
 			for _, st := range states {
@@ -113,7 +119,7 @@ func runTimingSeries(label string, layers []layerSpec, factory reg.Factory, epoc
 				}
 			}
 		}
-		series.EpochTime = append(series.EpochTime, time.Since(start))
+		series.EpochTime = append(series.EpochTime, timingNow().Sub(start))
 	}
 	return series
 }

@@ -228,7 +228,6 @@ func (c *coordinator) admit(j joinReq) {
 		Slot:           m.slot,
 		Spec:           c.cfg.Spec,
 		PartitionGrain: tensor.PartitionGrain(),
-		SerialCutoff:   tensor.SerialCutoff(),
 	}
 	if err := c.send(m, FrameWelcome, w); err != nil {
 		c.ros.remove(m, "death", fmt.Sprintf("welcome: %v", err))

@@ -181,19 +181,19 @@ type Hello struct {
 
 // Welcome is the coordinator's handshake reply: everything a trainer needs
 // to reproduce the coordinator's computation bit for bit — the architecture
-// to build and the kernel numerics fingerprint to pin (the chunk partition
-// of deterministic reductions is a pure function of these two tunables, so
-// matching them makes shard gradients byte-equal across processes).
+// to build and the partition grain to pin (the chunk partition of
+// deterministic reductions is a pure function of the grain, and every other
+// kernel setting is compiled in, so matching it makes shard gradients
+// byte-equal across processes).
 type Welcome struct {
 	// Slot is the trainer's membership slot: assigned once, never reused,
 	// and the sort key of the deterministic shard assignment.
 	Slot int
 	// Spec declares the architecture the trainer must build.
 	Spec models.Spec
-	// PartitionGrain and SerialCutoff are the coordinator's deterministic-
-	// reduction tunables; the trainer adopts them before building the net.
+	// PartitionGrain is the coordinator's deterministic-reduction grain;
+	// the trainer adopts it before building the net.
 	PartitionGrain int
-	SerialCutoff   int
 }
 
 // Shard is one micro-shard of a global minibatch: the input rows, labels,

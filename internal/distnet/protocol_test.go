@@ -68,7 +68,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestWelcomeRoundTrip(t *testing.T) {
 	w := Welcome{Slot: 3, Spec: models.Spec{Family: "mlp", In: 5, Hidden: 4, Classes: 2},
-		PartitionGrain: 8, SerialCutoff: 1 << 12}
+		PartitionGrain: 8}
 	raw := mustFrame(t, FrameWelcome, w)
 	_, payload, _, err := ReadFrame(bytes.NewReader(raw))
 	if err != nil {

@@ -124,16 +124,16 @@ func BenchmarkRNGNormal(b *testing.B) {
 }
 
 // BenchmarkParallelCutoff sweeps the serial/parallel threshold over a
-// row-scaling workload (an axpy per row, the cheapest realistic row job) so
-// the SerialCutoff default can be tuned per machine:
+// row-scaling workload (an axpy per row, the cheapest realistic row job); it
+// is the measurement behind the compiled-in serial cutoff of 64:
 //
 //	go test -bench ParallelCutoff -benchtime 100x ./internal/tensor/
 func BenchmarkParallelCutoff(b *testing.B) {
 	for _, cutoff := range []int{16, 32, 64, 128, 256} {
 		for _, rows := range []int{32, 64, 128, 512} {
 			b.Run(fmt.Sprintf("cutoff=%d/rows=%d", cutoff, rows), func(b *testing.B) {
-				SetSerialCutoff(cutoff)
-				defer SetSerialCutoff(64)
+				setSerialCutoff(cutoff)
+				defer setSerialCutoff(64)
 				src := make([]float64, rows*64)
 				dst := make([]float64, rows*64)
 				b.ResetTimer()

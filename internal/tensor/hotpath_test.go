@@ -208,8 +208,8 @@ func TestWorkerPoolChunkPartition(t *testing.T) {
 		t.Fatalf("Chunks(0) = %d, want 0", got)
 	}
 	// With cutoff satisfied but n < grain, one chunk per element.
-	SetSerialCutoff(2)
-	defer SetSerialCutoff(64)
+	setSerialCutoff(2)
+	defer setSerialCutoff(64)
 	if got := p.Chunks(3); got != 3 {
 		t.Fatalf("Chunks(3) = %d, want 3", got)
 	}
@@ -291,8 +291,8 @@ func TestMatMulTransAOvershootShapes(t *testing.T) {
 // on their own ranges.
 func TestWorkerPoolNested(t *testing.T) {
 	setGrain(t, 4)
-	SetSerialCutoff(1)
-	defer SetSerialCutoff(64)
+	setSerialCutoff(1)
+	defer setSerialCutoff(64)
 	p := &WorkerPool{Size: 4}
 	var total int64
 	p.Parallel(64, func(lo, hi int) {
@@ -309,8 +309,8 @@ func TestWorkerPoolNested(t *testing.T) {
 
 func TestWorkerPoolConcurrentSubmitters(t *testing.T) {
 	setGrain(t, 4)
-	SetSerialCutoff(1)
-	defer SetSerialCutoff(64)
+	setSerialCutoff(1)
+	defer setSerialCutoff(64)
 	p := &WorkerPool{Size: 4}
 	done := make(chan int64)
 	for g := 0; g < 8; g++ {
@@ -354,8 +354,8 @@ func TestWorkerPoolEach(t *testing.T) {
 // in-process replicas within GOMAXPROCS instead of multiplying it.
 func TestWorkerPoolBudget(t *testing.T) {
 	setGrain(t, 4)
-	SetSerialCutoff(1)
-	defer SetSerialCutoff(64)
+	setSerialCutoff(1)
+	defer setSerialCutoff(64)
 	const size = 4
 	p := &WorkerPool{Size: size}
 	var active, peak int64
@@ -454,8 +454,8 @@ func TestPooledKernelsBitIdentical(t *testing.T) {
 // match the serial kernel to rounding.
 func TestMatMulTransAParallelDeterministic(t *testing.T) {
 	setGrain(t, 4)
-	SetSerialCutoff(8)
-	defer SetSerialCutoff(64)
+	setSerialCutoff(8)
+	defer setSerialCutoff(64)
 	pool := &WorkerPool{Size: 4}
 	rng := NewRNG(13)
 	for trial := 0; trial < 10; trial++ {
@@ -522,9 +522,9 @@ func FuzzMatMulInto(f *testing.F) {
 // fallback), with the packing cutoff forced down so the micro-kernel path
 // handles even 1×1×1 instead of deferring to the serial kernel.
 func TestMicroKernelEdgeShapes(t *testing.T) {
-	restoreTune(t)
+	restoreTile(t)
 	dims := []int{1, 3, 4, 5, 7, 8, 9, 13, 31}
-	tiles := [][2]int{{0, 0}, {2, 4}, {4, 4}, {8, 1}}
+	tiles := [][2]int{{0, 0}, {2, 4}, {4, 4}}
 	rng := NewRNG(23)
 	for _, tile := range tiles {
 		if err := SetTileShape(tile[0], tile[1]); err != nil {

@@ -4,9 +4,9 @@ import "fmt"
 
 // The MatMul family dispatches between two interchangeable kernel sets that
 // produce bit-identical results: the PR-1 cache-blocked reference kernels in
-// linalg_ref.go (also the TileM == 0 autotune fallback) and the
-// register-blocked micro-kernels in microkernel.go fed by the panel packers
-// in micro.go. The active tile shape and packing cutoff live in autotune.go.
+// linalg_ref.go (tile shape 0×0) and the register-blocked micro-kernels in
+// microkernel.go fed by the panel packers in micro.go. The active tile shape
+// and packing cutoff live in tile.go.
 
 func checkMat2(op string, a, b *Tensor) {
 	if a.Rank() != 2 || b.Rank() != 2 {
@@ -63,10 +63,10 @@ func matMulKernel(c, a, b []float64, m, k, n int) {
 	// The serial branch calls the row driver directly: constructing the
 	// closure would heap-allocate even when it is never sent to the pool.
 	if ParallelChunks(m) <= 1 {
-		microMatMulRows(c, a, bp, 0, m, k, n, mr, nr)
+		microMatMulRows(c, a, bp, 0, m, k, n, mr)
 	} else {
 		Parallel(m, func(lo, hi int) {
-			microMatMulRows(c, a, bp, lo, hi, k, n, mr, nr)
+			microMatMulRows(c, a, bp, lo, hi, k, n, mr)
 		})
 	}
 	DefaultArena.PutSlice(bp)
@@ -148,7 +148,7 @@ func transAAccum(local, a, b []float64, lo, hi, m, n int) {
 	bp := DefaultArena.GetSlice(kk * n)
 	packPanels(ap, a[lo*m:], kk, m, m, mr)
 	packPanels(bp, b[lo*n:], kk, n, n, nr)
-	microTransAPanels(local, ap, bp, kk, m, n, mr, nr)
+	microTransAPanels(local, ap, bp, kk, m, n, mr)
 	DefaultArena.PutSlice(bp)
 	DefaultArena.PutSlice(ap)
 }
@@ -199,10 +199,10 @@ func matMulTransBKernel(c, a, b []float64, m, k, n int) {
 	bp := DefaultArena.GetSlice(n * k)
 	packRowsT(bp, b, n, k, k, nr)
 	if ParallelChunks(m) <= 1 {
-		microMatMulRows(c, a, bp, 0, m, k, n, mr, nr)
+		microMatMulRows(c, a, bp, 0, m, k, n, mr)
 	} else {
 		Parallel(m, func(lo, hi int) {
-			microMatMulRows(c, a, bp, lo, hi, k, n, mr, nr)
+			microMatMulRows(c, a, bp, lo, hi, k, n, mr)
 		})
 	}
 	DefaultArena.PutSlice(bp)

@@ -3,8 +3,7 @@ package tensor
 // The PR-1 cache-blocked kernels, kept verbatim as (a) the bit-identity
 // oracle the register-blocked micro-kernels are property-tested against,
 // (b) the baseline side of the gmreg-bench micro-kernel comparison rows,
-// and (c) the fallback tile shape the autotuner can select on hosts where
-// the unrolled kernels lose (TuneConfig.TileM == 0).
+// and (c) the kernels behind the 0×0 tile shape (SetTileShape(0, 0)).
 //
 // Every kernel here accumulates each output element c[i][j] over p in
 // ascending order, which is the summation-order contract the micro-kernels

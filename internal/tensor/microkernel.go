@@ -44,8 +44,8 @@ func mm2x4(ap, bp []float64,
 }
 
 // mm4x4 advances a 4×4 tile. Sixteen accumulators oversubscribe the sixteen
-// amd64 XMM registers, so some spill; whether it still beats mm2x4 is
-// host-dependent, which is exactly what the autotuner sweeps.
+// float registers, so some spill; it is the portable fallback for the 4×4
+// tile, which on amd64 runs the vector kernel instead (microkernel_amd64.go).
 func mm4x4(ap, bp []float64,
 	s00, s01, s02, s03,
 	s10, s11, s12, s13,
@@ -79,28 +79,6 @@ func mm4x4(ap, bp []float64,
 	}
 	return s00, s01, s02, s03, s10, s11, s12, s13,
 		s20, s21, s22, s23, s30, s31, s32, s33
-}
-
-// mm8x1 advances an 8×1 tile: eight A rows against one B column. The shape
-// of choice for narrow outputs (matrix·vector and small-n products) where a
-// 4-wide B panel would mostly compute tails.
-func mm8x1(ap, bcol []float64,
-	s0, s1, s2, s3, s4, s5, s6, s7 float64) (
-	r0, r1, r2, r3, r4, r5, r6, r7 float64) {
-	for len(ap) >= 8 && len(bcol) >= 1 {
-		b := bcol[0]
-		s0 += ap[0] * b
-		s1 += ap[1] * b
-		s2 += ap[2] * b
-		s3 += ap[3] * b
-		s4 += ap[4] * b
-		s5 += ap[5] * b
-		s6 += ap[6] * b
-		s7 += ap[7] * b
-		ap = ap[8:]
-		bcol = bcol[1:]
-	}
-	return s0, s1, s2, s3, s4, s5, s6, s7
 }
 
 // mm1x4 advances a 1×4 row-tail tile: one raw A row against a 4-wide panel.

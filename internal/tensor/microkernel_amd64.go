@@ -4,7 +4,7 @@ package tensor
 // micro.go route the aligned interior of the (4,4) tile shape through it,
 // which is what lifts the hot path past the ~2 flops/cycle scalar SSE
 // ceiling the pure-Go kernels top out at. It also makes (4,4) the default
-// tile on amd64 (see defaultTile).
+// tile on amd64 (see DefaultTile).
 const hasSSETile = true
 
 // mm4x4sse advances a 4×4 tile over the full-k packed panels ap (4-wide A

@@ -36,20 +36,19 @@ import (
 // serialCutoff is the row count below which Parallel runs on the calling
 // goroutine. The default was benchmark-tuned with BenchmarkParallelCutoff
 // (see bench_test.go): job post + steal overhead is ~1µs, so rows cheaper
-// than ~15ns each need n in the tens before fan-out pays for itself. It can
-// be overridden for other machines via SetSerialCutoff or the
-// GMREG_SERIAL_CUTOFF environment variable.
+// than ~15ns each need n in the tens before fan-out pays for itself. It is
+// the same compiled-in value in every process; only tests and benchmarks
+// change it (setSerialCutoff) to force the fan-out path.
 var serialCutoff int64 = 64
 
 // partitionGrain is the maximum chunk count Chunks partitions a range into.
-// It is captured from GOMAXPROCS at startup (and can be pinned with
-// SetPartitionGrain, GMREG_PARTITION_GRAIN, or a persisted autotune config)
-// rather than read from each pool's width so that the partition — and
-// therefore every per-chunk floating-point reduction — is a pure function of
-// n, identical no matter which pool executes the job or how many replicas
-// share the machine. Startup initialization (defaults, then autotune file,
-// then env) lives in autotune.go's init so the precedence order is explicit.
-var partitionGrain int64
+// It is captured from GOMAXPROCS at startup and pinned with
+// SetPartitionGrain by cli.ApplyProcs (-procs) and by distnet trainers from
+// the coordinator's Welcome, rather than read from each pool's width, so
+// that the partition — and therefore every per-chunk floating-point
+// reduction — is a pure function of n, identical no matter which pool
+// executes the job or how many replicas share the machine.
+var partitionGrain = int64(runtime.GOMAXPROCS(0))
 
 // SetPartitionGrain pins the maximum chunk count used by every pool's
 // partition. Fixing it to the same value on different machines makes
@@ -64,8 +63,8 @@ func SetPartitionGrain(n int) {
 // PartitionGrain returns the current partition grain.
 func PartitionGrain() int { return int(atomic.LoadInt64(&partitionGrain)) }
 
-// SetSerialCutoff overrides the minimum n for which Parallel fans out.
-func SetSerialCutoff(n int) {
+// setSerialCutoff overrides the minimum n for which Parallel fans out.
+func setSerialCutoff(n int) {
 	if n < 1 {
 		n = 1
 	}
