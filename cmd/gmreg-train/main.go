@@ -266,39 +266,34 @@ func runTabularMLP(name string, cfg train.SGDConfig, factory gmreg.Factory, seed
 	})
 }
 
-// reportNetwork prints each parameter group's learned prior in name order
-// and, with -save, stores the trained network under spec with its GM
-// snapshots (a name→mixture object) and meta.
+// reportNetwork prints each parameter group's learned prior and, with -save,
+// stores the trained network under spec with its GM records and meta.
 func reportNetwork(res *train.NetworkResult, spec models.Spec, meta map[string]string) error {
 	if err := refuseSaveInterrupted(); err != nil {
 		return err
 	}
-	var names []string
-	for n := range res.Regs {
+	return saveCheckpoint(spec, res.Net, reportPriors(res.Regs), meta)
+}
+
+// reportPriors prints each group's learned prior in name order and returns
+// the records -save stores: one GM snapshot per GM-regularized group.
+func reportPriors(regs map[string]gmreg.Regularizer) []train.RegState {
+	names := make([]string, 0, len(regs))
+	for n := range regs {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	gms := map[string]*core.GM{}
+	var out []train.RegState
 	for _, n := range names {
-		switch p := res.Regs[n].(type) {
+		switch p := regs[n].(type) {
 		case *core.GM:
 			printGM(n, p)
-			gms[n] = p
+			out = append(out, train.RegState{Name: n, GM: p.Snapshot()})
 		case core.Prior:
 			printPrior(n, p)
 		}
 	}
-	if saveKey == "" {
-		return nil
-	}
-	var gmBlob []byte
-	if len(gms) > 0 {
-		var err error
-		if gmBlob, err = json.Marshal(gms); err != nil {
-			return err
-		}
-	}
-	return saveCheckpoint(spec, res.Net, gmBlob, meta)
+	return out
 }
 
 // runCSV trains logistic regression on a user-provided CSV table.
@@ -470,42 +465,25 @@ func trainAndReport(task *data.Task, cfg train.SGDConfig, factory gmreg.Factory,
 	if err := refuseSaveInterrupted(); err != nil {
 		return err
 	}
-	switch p := res.Regularizer.(type) {
-	case *core.GM:
-		printGM("weights", p)
-	case core.Prior:
-		printPrior("weights", p)
-	}
-	if g, ok := res.Regularizer.(*core.GM); ok {
-		if gmSnapshotPath != "" {
-			blob, err := json.MarshalIndent(g, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(gmSnapshotPath, blob, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("GM snapshot written to %s\n", gmSnapshotPath)
+	regs := reportPriors(map[string]gmreg.Regularizer{"weights": res.Regularizer})
+	if g, ok := res.Regularizer.(*core.GM); ok && gmSnapshotPath != "" {
+		blob, err := json.MarshalIndent(g, "", "  ")
+		if err != nil {
+			return err
 		}
-	}
-	if saveKey != "" {
-		var gmBlob []byte
-		if g, ok := res.Regularizer.(*core.GM); ok {
-			var err error
-			if gmBlob, err = json.Marshal(g); err != nil {
-				return err
-			}
+		if err := os.WriteFile(gmSnapshotPath, blob, 0o644); err != nil {
+			return err
 		}
-		meta := map[string]string{
-			"dataset":       task.Name,
-			"regularizer":   res.Regularizer.Name(),
-			"test_accuracy": fmt.Sprintf("%.4f", testAcc),
-			"seed":          fmt.Sprintf("%d", seed),
-		}
-		spec := models.Spec{Family: "logreg", In: task.NumFeatures()}
-		return saveCheckpoint(spec, models.LogRegNetwork(res.Model), gmBlob, meta)
+		fmt.Printf("GM snapshot written to %s\n", gmSnapshotPath)
 	}
-	return nil
+	meta := map[string]string{
+		"dataset":       task.Name,
+		"regularizer":   res.Regularizer.Name(),
+		"test_accuracy": fmt.Sprintf("%.4f", testAcc),
+		"seed":          fmt.Sprintf("%d", seed),
+	}
+	spec := models.Spec{Family: "logreg", In: task.NumFeatures()}
+	return saveCheckpoint(spec, models.LogRegNetwork(res.Model), regs, meta)
 }
 
 // gmSnapshotPath is the -save-gm destination ("" = disabled).
@@ -541,9 +519,12 @@ func runCIFAR(model string, cfg train.SGDConfig, factory gmreg.Factory, trainN, 
 }
 
 // saveCheckpoint appends the trained model as a new version of the -save key
-// in the -store snapshot file, creating the file if it does not exist.
-func saveCheckpoint(spec models.Spec, net *nn.Network, gm []byte, meta map[string]string) error {
-	ckpt, err := serve.NewCheckpoint(spec, net, gm, meta)
+// in the -store snapshot file, creating it if needed; a no-op without -save.
+func saveCheckpoint(spec models.Spec, net *nn.Network, regs []train.RegState, meta map[string]string) error {
+	if saveKey == "" {
+		return nil
+	}
+	ckpt, err := serve.NewCheckpoint(spec, net, regs, meta)
 	if err != nil {
 		return err
 	}

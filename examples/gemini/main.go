@@ -3,23 +3,24 @@
 // preprocessed, explored with cohort queries (CohAna role), used to train a
 // GM-regularized readmission model with minibatch SGD (SINGA role, with the
 // GM Reg tool applied once per global step at the update, where the paper's
-// red box plugs it into the parameter server), and the learned regularizer
-// is checkpointed into an immutable versioned store (Forkbase role).
+// red box plugs it into the parameter server), and the model is checkpointed
+// with its learned regularizer, as one value, into an immutable versioned
+// store (Forkbase role).
 //
 // Run with: go run ./examples/gemini
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
 
 	"gmreg/internal/clean"
 	"gmreg/internal/cohort"
 	"gmreg/internal/core"
 	"gmreg/internal/data"
 	"gmreg/internal/epic"
+	"gmreg/internal/models"
 	"gmreg/internal/reg"
+	"gmreg/internal/serve"
 	"gmreg/internal/store"
 	"gmreg/internal/tensor"
 	"gmreg/internal/train"
@@ -112,30 +113,33 @@ func main() {
 	fmt.Printf("test accuracy: %.3f\n", fit.Model.Accuracy(task.X, task.Y, testRows))
 	fmt.Printf("learned regularizer: %s\n", g)
 
-	// ── Stage 5: Forkbase — version the learned artifacts. ───────────────
+	// ── Stage 5: Forkbase — version the model with its regularizer. ─────
 	db := store.New()
-	snapshot, err := json.Marshal(g)
+	ckpt, err := serve.NewCheckpoint(models.Spec{Family: "logreg", In: task.NumFeatures()},
+		models.LogRegNetwork(fit.Model), []train.RegState{{Name: "weights", GM: g.Snapshot()}}, nil)
 	if err != nil {
 		panic(err)
 	}
-	v1, _ := db.Put("models/readmission/gm", snapshot)
-	weights := make([]byte, 0, len(fit.Model.W)*8)
-	for _, w := range fit.Model.W {
-		weights = appendFloat(weights, w)
+	v1, err := serve.PutCheckpoint(db, "models/readmission", ckpt)
+	if err != nil {
+		panic(err)
 	}
-	db.Put("models/readmission/weights", weights)
 	// A what-if branch: fork, retrain a variant, keep both histories.
-	if err := db.Fork("models/readmission/gm", "models/readmission/gm-experiment"); err != nil {
+	if err := db.Fork("models/readmission", "models/readmission-experiment"); err != nil {
 		panic(err)
 	}
 	keys, versions, blobs := db.Stats()
-	fmt.Printf("\nstore: %d keys, %d versions, %d blobs (gm snapshot %s…, seq %d)\n",
+	fmt.Printf("\nstore: %d keys, %d versions, %d blobs (checkpoint %s…, seq %d)\n",
 		keys, versions, blobs, v1.Hash[:12], v1.Seq)
 
-	// Round trip: the stored snapshot restores to a working regularizer.
-	blob, _, _ := db.Get("models/readmission/gm-experiment")
-	restored := &core.GM{}
-	if err := json.Unmarshal(blob, restored); err != nil {
+	// Round trip: the stored checkpoint restores to a working regularizer.
+	blob, _, _ := db.Get("models/readmission-experiment")
+	back, err := serve.UnmarshalCheckpoint(blob)
+	if err != nil {
+		panic(err)
+	}
+	restored, err := core.FromSnapshot(back.Regs[0].GM)
+	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("restored from store: %s (density at 0: %.3f)\n",
@@ -151,12 +155,4 @@ func injectDirt(raw *data.RawTable) *data.RawTable {
 	raw.Cat[1][0] = 99              // impossible category
 	raw.Cont[2][0] = 1e6            // absurd measurement
 	return raw
-}
-
-func appendFloat(dst []byte, f float64) []byte {
-	bits := math.Float64bits(f)
-	for s := 0; s < 64; s += 8 {
-		dst = append(dst, byte(bits>>s))
-	}
-	return dst
 }

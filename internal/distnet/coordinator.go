@@ -3,7 +3,6 @@ package distnet
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"path/filepath"
 	"sort"
@@ -386,7 +385,7 @@ func checkGrads(g *Grads, shardLen int, bns []*nn.BatchNorm) error {
 			return fmt.Errorf("%w: shard %d gradient has %d values, want %d",
 				ErrBadGrads, sg.Index, len(sg.Grad), shardLen)
 		}
-		if !allFinite(sg.Loss) || !allFinite(sg.Grad...) {
+		if !tensor.AllFinite(sg.Loss) || !tensor.AllFinite(sg.Grad...) {
 			return fmt.Errorf("%w: shard %d carries a non-finite gradient or loss", ErrBadGrads, sg.Index)
 		}
 	}
@@ -402,20 +401,11 @@ func checkGrads(g *Grads, shardLen int, bns []*nn.BatchNorm) error {
 			return fmt.Errorf("%w: stats slice %d has %d values, batch-norm %q has %d channels",
 				ErrBadGrads, i, len(st), bns[i/2].Name(), len(mean))
 		}
-		if !allFinite(st...) {
+		if !tensor.AllFinite(st...) {
 			return fmt.Errorf("%w: stats slice %d is non-finite", ErrBadGrads, i)
 		}
 	}
 	return nil
-}
-
-func allFinite(xs ...float64) bool {
-	for _, v := range xs {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // buildShards materializes the Shard payloads for one member's assignment.

@@ -225,8 +225,8 @@ func TestCoordinateGhostBatchNormMatchesDist(t *testing.T) {
 	requireSameWeights(t, "resnet weights", weightsOf(netw), weightsOf(distNet))
 	wantBNs, gotBNs := distNet.BatchNorms(), netw.BatchNorms()
 	for i := range wantBNs {
-		wm, wv := wantBNs[i].RunningStats()
-		gm, gv := gotBNs[i].RunningStats()
+		wm, wv := wantBNs[i].Stats()
+		gm, gv := gotBNs[i].Stats()
 		for c := range wm {
 			if wm[c] != gm[c] || wv[c] != gv[c] {
 				t.Fatalf("batch-norm %d channel %d: running stats diverge (%v,%v) != (%v,%v)",

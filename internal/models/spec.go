@@ -53,7 +53,7 @@ func (s Spec) Validate() error {
 
 // Build constructs the architecture. Weights are deterministically
 // initialized but meaningless; callers load trained values with
-// nn.LoadWeights.
+// train.LoadWeights.
 func (s Spec) Build() (*nn.Network, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err

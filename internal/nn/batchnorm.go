@@ -162,11 +162,6 @@ func (b *BatchNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-// RunningStats exposes the inference-time statistics for tests.
-func (b *BatchNorm) RunningStats() (mean, variance []float64) {
-	return append([]float64(nil), b.runningMean...), append([]float64(nil), b.runningVar...)
-}
-
 // Stats returns the live running-statistics slices (no copies). The
 // data-parallel trainer uses it to average replica statistics into the
 // authoritative copy and broadcast them back each global step; callers

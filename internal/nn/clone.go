@@ -12,10 +12,10 @@ import (
 //
 // Parameter values are NOT copied — weight groups come back zeroed (batch
 // norm γ at 1, running variance at 1, as after construction) so the clone is
-// meant to be filled with LoadWeights from a SaveWeights blob. This is the
-// replica constructor the serving subsystem uses: N clones loaded from the
-// same blob can run Forward concurrently, one goroutine each, which a shared
-// Network cannot (see the Network concurrency contract).
+// meant to be filled by train.LoadWeights from captured weight records. This
+// is the replica constructor the serving subsystem uses: N clones loaded from
+// the same records can run Forward concurrently, one goroutine each, which a
+// shared Network cannot (see the Network concurrency contract).
 func (n *Network) CloneArchitecture() *Network {
 	return NewNetwork(cloneLayers(n.Layers)...)
 }

@@ -1,37 +1,39 @@
-package nn
+package nn_test
 
 import (
-	"bytes"
+	"strings"
 	"testing"
 
+	"gmreg/internal/nn"
 	"gmreg/internal/tensor"
+	"gmreg/internal/train"
 )
 
 // cloneTestNet builds a network exercising every layer type the models use,
 // including a residual block with a projection shortcut and dropout.
-func cloneTestNet(rng *tensor.RNG) *Network {
-	body := []Layer{
-		NewConv2D("blk-conv1", 4, 8, 3, 2, 1, 0.1, rng),
-		NewBatchNorm("blk-bn1", 8),
-		NewReLU("blk-relu"),
-		NewConv2D("blk-conv2", 8, 8, 3, 1, 1, 0.1, rng),
-		NewBatchNorm("blk-bn2", 8),
+func cloneTestNet(rng *tensor.RNG) *nn.Network {
+	body := []nn.Layer{
+		nn.NewConv2D("blk-conv1", 4, 8, 3, 2, 1, 0.1, rng),
+		nn.NewBatchNorm("blk-bn1", 8),
+		nn.NewReLU("blk-relu"),
+		nn.NewConv2D("blk-conv2", 8, 8, 3, 1, 1, 0.1, rng),
+		nn.NewBatchNorm("blk-bn2", 8),
 	}
-	shortcut := []Layer{
-		NewConv2D("blk-sc-conv", 4, 8, 1, 2, 0, 0.1, rng),
-		NewBatchNorm("blk-sc-bn", 8),
+	shortcut := []nn.Layer{
+		nn.NewConv2D("blk-sc-conv", 4, 8, 1, 2, 0, 0.1, rng),
+		nn.NewBatchNorm("blk-sc-bn", 8),
 	}
-	return NewNetwork(
-		NewConv2D("conv1", 3, 4, 3, 1, 1, 0.1, rng),
-		NewMaxPool2D("pool1", 2, 2, 0),
-		NewReLU("relu1"),
-		NewLRN("lrn1"),
-		NewResidual("blk", body, shortcut),
-		NewAvgPool2D("pool2", 2, 2, 0),
-		NewDropout("drop", 0.5, rng),
-		NewGlobalAvgPool2D("gap"),
-		NewFlatten("flatten"),
-		NewDense("fc", 8, 5, 0.1, rng),
+	return nn.NewNetwork(
+		nn.NewConv2D("conv1", 3, 4, 3, 1, 1, 0.1, rng),
+		nn.NewMaxPool2D("pool1", 2, 2, 0),
+		nn.NewReLU("relu1"),
+		nn.NewLRN("lrn1"),
+		nn.NewResidual("blk", body, shortcut),
+		nn.NewAvgPool2D("pool2", 2, 2, 0),
+		nn.NewDropout("drop", 0.5, rng),
+		nn.NewGlobalAvgPool2D("gap"),
+		nn.NewFlatten("flatten"),
+		nn.NewDense("fc", 8, 5, 0.1, rng),
 	)
 }
 
@@ -71,25 +73,25 @@ func TestCloneArchitectureSharesNothing(t *testing.T) {
 	}
 }
 
+// A CloneArchitecture replica loaded from train.CaptureWeights must
+// reproduce the source network's inference outputs bit for bit, including
+// batch-norm running statistics that training forwards drifted from their
+// init values.
 func TestCloneLoadWeightsBitIdenticalInference(t *testing.T) {
 	rng := tensor.NewRNG(12)
 	net := cloneTestNet(rng)
-
-	// Drift the batch-norm running statistics away from their init values
-	// with a few training forwards, so the test catches blobs that forget
-	// non-Param state.
 	x := tensor.New(4, 3, 8, 8)
 	for pass := 0; pass < 3; pass++ {
 		rng.FillNormal(x.Data, 0, 1)
 		net.Forward(x, true)
 	}
 
-	var buf bytes.Buffer
-	if err := SaveWeights(&buf, net); err != nil {
-		t.Fatal(err)
+	groups, stats := train.CaptureWeights(net)
+	if len(stats) != 3 {
+		t.Fatalf("captured %d batch-norm layers, want 3", len(stats))
 	}
 	clone := net.CloneArchitecture()
-	if err := LoadWeights(bytes.NewReader(buf.Bytes()), clone); err != nil {
+	if err := train.LoadWeights(clone, groups, stats); err != nil {
 		t.Fatal(err)
 	}
 
@@ -106,17 +108,81 @@ func TestCloneLoadWeightsBitIdenticalInference(t *testing.T) {
 	}
 }
 
-func TestLoadWeightsRejectsMissingStats(t *testing.T) {
-	rng := tensor.NewRNG(13)
-	src := NewNetwork(NewDense("fc", 4, 2, 0.1, rng))
-	var buf bytes.Buffer
-	if err := SaveWeights(&buf, src); err != nil {
+func TestSaveLoadWeightsRoundTrip(t *testing.T) {
+	build := func(rng *tensor.RNG) *nn.Network {
+		return nn.NewNetwork(
+			nn.NewDense("fc1", 4, 8, 0.3, rng),
+			nn.NewReLU("relu"),
+			nn.NewBatchNorm("bn", 1), // unusual but exercises non-weight groups
+		)
+	}
+	net := build(tensor.NewRNG(6))
+	m, v := net.BatchNorms()[0].Stats()
+	m[0], v[0] = 0.25, 2
+	groups, stats := train.CaptureWeights(net)
+
+	// A same-architecture network with different init must take on the
+	// captured values.
+	net2 := build(tensor.NewRNG(7))
+	if err := train.LoadWeights(net2, groups, stats); err != nil {
 		t.Fatal(err)
 	}
-	// A network with batch norm needs running stats the blob doesn't have.
-	dst := NewNetwork(NewDense("fc", 4, 2, 0.1, rng), NewBatchNorm("bn", 1))
-	if err := LoadWeights(bytes.NewReader(buf.Bytes()), dst); err == nil {
-		t.Fatal("expected error for missing batch-norm stats")
+	p1, p2 := net.Params(), net2.Params()
+	for i := range p1 {
+		for j := range p1[i].W {
+			if p1[i].W[j] != p2[i].W[j] {
+				t.Fatalf("group %s dim %d differs after load", p1[i].Name, j)
+			}
+		}
+	}
+	_, stats2 := train.CaptureWeights(net2)
+	for j := range stats[0].Mean {
+		if stats[0].Mean[j] != stats2[0].Mean[j] || stats[0].Var[j] != stats2[0].Var[j] {
+			t.Fatalf("batch-norm stats dim %d differ after load", j)
+		}
+	}
+}
+
+func TestLoadWeightsRejectsMismatches(t *testing.T) {
+	rng := tensor.NewRNG(8)
+	src := nn.NewNetwork(nn.NewDense("fc1", 4, 8, 0.3, rng), nn.NewBatchNorm("bn", 1))
+	groups, stats := train.CaptureWeights(src)
+
+	cases := []struct {
+		name string
+		net  *nn.Network
+		want string
+	}{
+		{"group name", nn.NewNetwork(nn.NewDense("fc2", 4, 8, 0.3, rng), nn.NewBatchNorm("bn", 1)), "group 0"},
+		{"group length", nn.NewNetwork(nn.NewDense("fc1", 4, 4, 0.3, rng), nn.NewBatchNorm("bn", 1)), "group 0"},
+		{"group count", nn.NewNetwork(nn.NewDense("fc1", 4, 8, 0.3, rng), nn.NewDense("fc3", 8, 2, 0.3, rng), nn.NewBatchNorm("bn", 1)), "parameter groups"},
+		{"batch-norm width", nn.NewNetwork(nn.NewDense("fc1", 4, 8, 0.3, rng), nn.NewBatchNorm("bn", 2)), "group 2"},
+		{"batch-norm count", nn.NewNetwork(nn.NewDense("fc1", 4, 8, 0.3, rng), nn.NewBatchNorm("bn", 1), nn.NewBatchNorm("bn3", 1)), "parameter groups"},
+	}
+	for _, c := range cases {
+		err := train.LoadWeights(c.net, groups, stats)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error mentioning %q", c.name, err, c.want)
+		}
+	}
+}
+
+func TestLoadWeightsRejectsMissingStats(t *testing.T) {
+	rng := tensor.NewRNG(13)
+	src := nn.NewNetwork(nn.NewDense("fc", 4, 2, 0.1, rng), nn.NewBatchNorm("bn", 1))
+	groups, stats := train.CaptureWeights(src)
+	// A network with batch norm needs running stats the records lack.
+	dst := nn.NewNetwork(nn.NewDense("fc", 4, 2, 0.1, rng), nn.NewBatchNorm("bn", 1))
+	if err := train.LoadWeights(dst, groups, nil); err == nil || !strings.Contains(err.Error(), "batch-norm layers") {
+		t.Fatalf("missing stats: got %v", err)
+	}
+	for name, bad := range map[string]train.StatState{
+		"stats name":   {Name: "bn2", Mean: stats[0].Mean, Var: stats[0].Var},
+		"stats length": {Name: "bn", Mean: stats[0].Mean},
+	} {
+		if err := train.LoadWeights(dst, groups, []train.StatState{bad}); err == nil || !strings.Contains(err.Error(), "batch-norm 0") {
+			t.Errorf("%s: got %v", name, err)
+		}
 	}
 }
 
@@ -125,10 +191,10 @@ type fakeLayer struct{}
 func (fakeLayer) Name() string                                    { return "fake" }
 func (fakeLayer) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor { return x }
 func (fakeLayer) Backward(dy *tensor.Tensor) *tensor.Tensor       { return dy }
-func (fakeLayer) Params() []*Param                                { return nil }
+func (fakeLayer) Params() []*nn.Param                             { return nil }
 
 func TestCloneArchitectureRejectsUnknownLayer(t *testing.T) {
-	net := NewNetwork(fakeLayer{})
+	net := nn.NewNetwork(fakeLayer{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for unknown layer type")
@@ -141,7 +207,7 @@ func TestCloneArchitectureRejectsUnknownLayer(t *testing.T) {
 // (≤0) positions must be written as zero, not left holding the previous
 // batch's activations.
 func TestResidualMaskedOutputsAreZeroOnReusedBuffer(t *testing.T) {
-	r := NewResidual("blk", nil, nil)
+	r := nn.NewResidual("blk", nil, nil)
 	x := tensor.New(1, 1, 2, 2)
 	// First pass: all positive, fills yBuf with positives.
 	for i := range x.Data {

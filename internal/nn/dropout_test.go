@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -88,67 +87,6 @@ func TestDropoutRejectsBadRate(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	assertPanics(t, func() { NewDropout("drop", 1, rng) })
 	assertPanics(t, func() { NewDropout("drop", -0.1, rng) })
-}
-
-func TestSaveLoadWeightsRoundTrip(t *testing.T) {
-	rng := tensor.NewRNG(6)
-	net := NewNetwork(
-		NewDense("fc1", 4, 8, 0.3, rng),
-		NewReLU("relu"),
-		NewBatchNorm("bn", 1), // unusual but exercises non-weight groups
-	)
-	var buf bytes.Buffer
-	if err := SaveWeights(&buf, net); err != nil {
-		t.Fatal(err)
-	}
-	// A same-architecture network with different init must converge to the
-	// saved values.
-	rng2 := tensor.NewRNG(7)
-	net2 := NewNetwork(
-		NewDense("fc1", 4, 8, 0.3, rng2),
-		NewReLU("relu"),
-		NewBatchNorm("bn", 1),
-	)
-	if err := LoadWeights(&buf, net2); err != nil {
-		t.Fatal(err)
-	}
-	p1, p2 := net.Params(), net2.Params()
-	for i := range p1 {
-		for j := range p1[i].W {
-			if p1[i].W[j] != p2[i].W[j] {
-				t.Fatalf("group %s dim %d differs after load", p1[i].Name, j)
-			}
-		}
-	}
-}
-
-func TestLoadWeightsRejectsMismatches(t *testing.T) {
-	rng := tensor.NewRNG(8)
-	src := NewNetwork(NewDense("fc1", 4, 8, 0.3, rng))
-	var buf bytes.Buffer
-	if err := SaveWeights(&buf, src); err != nil {
-		t.Fatal(err)
-	}
-	// Different group name.
-	saved := buf.Bytes()
-	other := NewNetwork(NewDense("fc2", 4, 8, 0.3, rng))
-	if err := LoadWeights(bytes.NewReader(saved), other); err == nil {
-		t.Fatal("expected error for mismatched group names")
-	}
-	// Different geometry.
-	smaller := NewNetwork(NewDense("fc1", 4, 4, 0.3, rng))
-	if err := LoadWeights(bytes.NewReader(saved), smaller); err == nil {
-		t.Fatal("expected error for mismatched dimensions")
-	}
-	// Different group count.
-	bigger := NewNetwork(NewDense("fc1", 4, 8, 0.3, rng), NewDense("fc3", 8, 2, 0.3, rng))
-	if err := LoadWeights(bytes.NewReader(saved), bigger); err == nil {
-		t.Fatal("expected error for mismatched group counts")
-	}
-	// Corrupt stream.
-	if err := LoadWeights(bytes.NewReader([]byte("nonsense")), src); err == nil {
-		t.Fatal("expected error for corrupt stream")
-	}
 }
 
 func TestDropoutInNetworkTrains(t *testing.T) {

@@ -75,8 +75,8 @@ type Layer interface {
 // and Backward must never run concurrently on the same Network — not even
 // two Forward calls. Concurrent inference needs one replica per goroutine:
 // build them with CloneArchitecture (replicas share no mutable state) and
-// load each from the same SaveWeights blob. This is the contract the
-// internal/serve replica pool relies on.
+// load each from the same weight records (train.LoadWeights). This is the
+// contract the internal/serve replica pool relies on.
 type Network struct {
 	Layers []Layer
 }

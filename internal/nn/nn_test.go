@@ -289,7 +289,7 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 		}
 		b.Forward(x, true)
 	}
-	mean, variance := b.RunningStats()
+	mean, variance := b.Stats()
 	for ch := 0; ch < 2; ch++ {
 		if math.Abs(mean[ch]-3) > 0.5 {
 			t.Fatalf("running mean[%d] = %v, want ~3", ch, mean[ch])

@@ -4,12 +4,15 @@ package online
 // last minibatch loss of a pinned stream must stay bit-identical across
 // internal restructuring of the trainer. Regenerate deliberately with
 // GMREG_UPDATE_GOLDEN=1 go test ./internal/online -run Golden; any mismatch
-// means the step or the prior's gradient changed. The weights blob is
-// compared decoded, value by value: nn.SaveWeights gob-encodes a map, so its
-// group order (and hence its raw bytes) varies from run to run.
+// means the step or the prior's gradient changed. The weights blob predates
+// ordered checkpoint records: it is a gob of group name → values, so it is
+// compared decoded, value by value, in the published checkpoint's group
+// order.
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"math"
 	"os"
 	"path/filepath"
@@ -18,6 +21,7 @@ import (
 
 	"gmreg/internal/serve"
 	"gmreg/internal/store"
+	"gmreg/internal/train"
 )
 
 func TestOnlineGoldenPublish(t *testing.T) {
@@ -52,20 +56,28 @@ func TestOnlineGoldenPublish(t *testing.T) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(weightsPath, ckpt.Weights, 0o644); err != nil {
+		f := goldenWeights{Groups: map[string][]float64{}, Stats: map[string][]float64{}}
+		for _, g := range ckpt.Groups {
+			f.Groups[g.Name] = g.W
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(weightsPath, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(lossPath, []byte(loss), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("golden files updated (%d weight bytes, loss %s)", len(ckpt.Weights), loss)
+		t.Logf("golden files updated (%d weight bytes, loss %s)", buf.Len(), loss)
 		return
 	}
 	want, err := os.ReadFile(weightsPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, golden := weightBits(t, ckpt, ckpt.Weights), weightBits(t, ckpt, want)
+	got, golden := groupBits(ckpt.Groups), goldenBits(t, ckpt.Groups, want)
 	if len(got) != len(golden) {
 		t.Fatalf("published %d weights, golden has %d", len(got), len(golden))
 	}
@@ -83,17 +95,40 @@ func TestOnlineGoldenPublish(t *testing.T) {
 	}
 }
 
-// weightBits loads a weights blob into ckpt's architecture and returns every
-// parameter's bit pattern in network order.
-func weightBits(t *testing.T, ckpt *serve.Checkpoint, blob []byte) []uint64 {
+// goldenWeights is the layout of the recorded weights blob: parameter-group
+// name → values, plus (empty for logreg) batch-norm statistics.
+type goldenWeights struct {
+	Groups map[string][]float64
+	Stats  map[string][]float64
+}
+
+// goldenBits decodes a recorded weights blob and returns its values' bit
+// patterns in the order of groups, which must name exactly its groups.
+func goldenBits(t *testing.T, groups []train.GroupState, blob []byte) []uint64 {
 	t.Helper()
-	net, err := (&serve.Checkpoint{Spec: ckpt.Spec, Weights: blob}).Build()
-	if err != nil {
+	var f goldenWeights
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&f); err != nil {
 		t.Fatal(err)
 	}
+	if len(f.Groups) != len(groups) || len(f.Stats) != 0 {
+		t.Fatalf("golden blob has %d groups and %d stats, checkpoint has %d groups", len(f.Groups), len(f.Stats), len(groups))
+	}
+	ordered := make([]train.GroupState, len(groups))
+	for i, g := range groups {
+		w, ok := f.Groups[g.Name]
+		if !ok {
+			t.Fatalf("golden blob has no group %q", g.Name)
+		}
+		ordered[i] = train.GroupState{Name: g.Name, W: w}
+	}
+	return groupBits(ordered)
+}
+
+// groupBits returns every parameter's bit pattern in group order.
+func groupBits(groups []train.GroupState) []uint64 {
 	var bits []uint64
-	for _, p := range net.Params() {
-		for _, w := range p.W {
+	for _, g := range groups {
+		for _, w := range g.W {
 			bits = append(bits, math.Float64bits(w))
 		}
 	}

@@ -2,7 +2,6 @@ package online
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -300,10 +299,6 @@ func Run(ctx context.Context, src Source, cfg Config) (*Result, error) {
 // snapshot file the serving side watches.
 func publish(cfg Config, model *models.LogisticRegression, prior *core.OnlineGM, res *Result, met *metrics, final bool) error {
 	t0 := time.Now()
-	gmBlob, err := json.Marshal(prior.GM())
-	if err != nil {
-		return fmt.Errorf("online: marshaling mixture: %w", err)
-	}
 	meta := map[string]string{
 		"mode":    "online",
 		"step":    strconv.Itoa(res.Steps),
@@ -314,7 +309,8 @@ func publish(cfg Config, model *models.LogisticRegression, prior *core.OnlineGM,
 		meta[k] = v
 	}
 	spec := models.Spec{Family: "logreg", In: len(model.W)}
-	ckpt, err := serve.NewCheckpoint(spec, models.LogRegNetwork(model), gmBlob, meta)
+	regs := []train.RegState{{Name: "weights", GM: prior.GM().Snapshot()}}
+	ckpt, err := serve.NewCheckpoint(spec, models.LogRegNetwork(model), regs, meta)
 	if err != nil {
 		return err
 	}

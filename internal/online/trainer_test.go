@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -144,8 +145,12 @@ func TestRunPublishesAndLearns(t *testing.T) {
 	if ckpt.Spec.Family != "logreg" || ckpt.Spec.In != 2 {
 		t.Fatalf("published spec %+v", ckpt.Spec)
 	}
-	if ckpt.Meta["mode"] != "online" || ckpt.Meta["samples"] != "800" {
+	if !slices.Contains(ckpt.Meta, serve.MetaEntry{Key: "mode", Value: "online"}) ||
+		!slices.Contains(ckpt.Meta, serve.MetaEntry{Key: "samples", Value: "800"}) {
 		t.Fatalf("published meta %v", ckpt.Meta)
+	}
+	if len(ckpt.Regs) != 1 || ckpt.Regs[0].Name != "weights" || ckpt.Regs[0].GM.M != 2 {
+		t.Fatalf("published GM records %+v, want one 2-dimension mixture for %q", ckpt.Regs, "weights")
 	}
 	m := &serve.Model{Key: "synth", Version: v, Ckpt: ckpt}
 	p, err := serve.NewPredictor(m, serve.Config{Replicas: 1, MaxBatch: 1, QueueCap: 1})
@@ -192,7 +197,7 @@ func TestRunWarmStartsFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := weightBits(t, stored, restored.Weights), weightBits(t, stored, stored.Weights)
+	got, want := groupBits(restored.Groups), groupBits(stored.Groups)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("restored parameter %d is %v, stored %v", i, math.Float64frombits(got[i]), math.Float64frombits(want[i]))

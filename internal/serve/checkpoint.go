@@ -7,7 +7,9 @@
 // Three layers:
 //
 //   - Checkpoint: the versioned serving artifact — an architecture spec
-//     (models.Spec), an nn.SaveWeights blob, and the learned GM snapshot.
+//     (models.Spec), the trainer's ordered weight and batch-norm records,
+//     and the learned GM snapshots, in the same train.GroupState /
+//     StatState / RegState records a training-state checkpoint holds.
 //   - Registry: resolves store keys to decoded Checkpoints, follows new
 //     versions as they land (or pins one), and hot-swaps atomically.
 //   - Predictor: a replica pool plus micro-batching queue that coalesces
@@ -21,41 +23,60 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"io"
+	"sort"
 
 	"gmreg/internal/models"
 	"gmreg/internal/nn"
 	"gmreg/internal/store"
+	"gmreg/internal/tensor"
+	"gmreg/internal/train"
 )
+
+// init fixes the checkpoint tree's gob type ids, which every encoded
+// checkpoint embeds, as internal/train does for State: equal models then
+// encode to equal bytes in any process, whatever it gob-encoded first.
+func init() {
+	gob.NewEncoder(io.Discard).Encode(&Checkpoint{})
+}
 
 // Checkpoint is one serving artifact: everything needed to rebuild and run a
 // trained model. It is stored as a single versioned value in internal/store,
 // so the blob — weights *and* the learned regularizer that produced them —
-// rolls forward and back as a unit.
+// rolls forward and back as a unit. Every field is an ordered slice, so equal
+// models encode to equal bytes and the store's content hash names the model.
 type Checkpoint struct {
 	// Spec rebuilds the architecture (models.Spec.Build).
 	Spec models.Spec
-	// Weights is the nn.SaveWeights blob (parameters plus batch-norm
-	// running statistics).
-	Weights []byte
-	// GM is the learned GM regularizer snapshot as JSON — a single
-	// core.GM object for tabular models, a name→snapshot object for
-	// networks — or nil when trained without the GM tool.
-	GM []byte
-	// Meta carries free-form provenance: dataset, seed, accuracy, ….
-	Meta map[string]string
+	// Groups are the parameter groups in network order (Vel is nil); Stats
+	// the batch-norm running statistics in layer order (train.LoadWeights).
+	Groups []train.GroupState
+	Stats  []train.StatState
+	// Regs holds the learned GM snapshot of each GM-regularized group,
+	// sorted by name, or is nil when trained without the GM.
+	Regs []train.RegState
+	// Meta carries free-form provenance (dataset, seed, …), sorted by key.
+	Meta []MetaEntry
 }
 
-// NewCheckpoint captures net's current weights under the given spec. gm and
-// meta may be nil.
-func NewCheckpoint(spec models.Spec, net *nn.Network, gm []byte, meta map[string]string) (*Checkpoint, error) {
+// MetaEntry is one key/value pair of Checkpoint.Meta.
+type MetaEntry struct {
+	Key, Value string
+}
+
+// NewCheckpoint captures net's current weights under the given spec. regs
+// and meta may be nil.
+func NewCheckpoint(spec models.Spec, net *nn.Network, regs []train.RegState, meta map[string]string) (*Checkpoint, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := nn.SaveWeights(&buf, net); err != nil {
-		return nil, err
+	c := &Checkpoint{Spec: spec, Regs: regs}
+	c.Groups, c.Stats = train.CaptureWeights(net)
+	for k, v := range meta {
+		c.Meta = append(c.Meta, MetaEntry{k, v})
 	}
-	return &Checkpoint{Spec: spec, Weights: buf.Bytes(), GM: gm, Meta: meta}, nil
+	sort.Slice(c.Meta, func(i, j int) bool { return c.Meta[i].Key < c.Meta[j].Key })
+	return c, nil
 }
 
 // Marshal encodes the checkpoint for storage.
@@ -67,9 +88,10 @@ func (c *Checkpoint) Marshal() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalCheckpoint decodes a stored checkpoint and validates its spec, so
-// a non-checkpoint blob under a store key is rejected at registry load, not
-// at request time.
+// UnmarshalCheckpoint decodes a stored checkpoint and validates its spec and
+// values, so a non-checkpoint blob or a model with a NaN or ±Inf weight or
+// statistic under a store key is rejected at registry load, not at request
+// time.
 func UnmarshalCheckpoint(b []byte) (*Checkpoint, error) {
 	var c Checkpoint
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&c); err != nil {
@@ -78,8 +100,18 @@ func UnmarshalCheckpoint(b []byte) (*Checkpoint, error) {
 	if err := c.Spec.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: checkpoint spec: %w", err)
 	}
-	if len(c.Weights) == 0 {
+	if len(c.Groups) == 0 {
 		return nil, fmt.Errorf("serve: checkpoint has no weights")
+	}
+	for _, g := range c.Groups {
+		if !tensor.AllFinite(g.W...) {
+			return nil, fmt.Errorf("serve: checkpoint group %q has a non-finite weight", g.Name)
+		}
+	}
+	for _, s := range c.Stats {
+		if !tensor.AllFinite(s.Mean...) || !tensor.AllFinite(s.Var...) {
+			return nil, fmt.Errorf("serve: checkpoint batch-norm %q has a non-finite statistic", s.Name)
+		}
 	}
 	return &c, nil
 }
@@ -91,7 +123,7 @@ func (c *Checkpoint) Build() (*nn.Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := nn.LoadWeights(bytes.NewReader(c.Weights), net); err != nil {
+	if err := train.LoadWeights(net, c.Groups, c.Stats); err != nil {
 		return nil, err
 	}
 	return net, nil

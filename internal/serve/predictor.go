@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -16,6 +15,7 @@ import (
 	"gmreg/internal/obs"
 	"gmreg/internal/store"
 	"gmreg/internal/tensor"
+	"gmreg/internal/train"
 )
 
 // ErrOverloaded is returned when the admission queue is full; callers should
@@ -175,7 +175,7 @@ func (p *Predictor) Swap(m *Model) error {
 	set.replicas <- base
 	for i := 1; i < p.cfg.Replicas; i++ {
 		rep := base.CloneArchitecture()
-		if err := nn.LoadWeights(bytes.NewReader(m.Ckpt.Weights), rep); err != nil {
+		if err := train.LoadWeights(rep, m.Ckpt.Groups, m.Ckpt.Stats); err != nil {
 			return err
 		}
 		set.replicas <- rep

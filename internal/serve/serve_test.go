@@ -1,16 +1,22 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"gmreg/internal/core"
 	"gmreg/internal/models"
 	"gmreg/internal/store"
 	"gmreg/internal/tensor"
+	"gmreg/internal/train"
 )
 
 var testSpec = models.Spec{Family: "mlp", In: 8, Hidden: 16, Classes: 3}
@@ -375,7 +381,11 @@ func TestRegistryWatchFile(t *testing.T) {
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	ckpt := makeCheckpoint(t, 3)
-	ckpt.GM = []byte(`{"pi":[1]}`)
+	gm, err := core.NewGM(16, core.DefaultConfig(0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt.Regs = []train.RegState{{Name: "fc1/W", GM: gm.Snapshot()}}
 	b, err := ckpt.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -384,8 +394,14 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Spec != ckpt.Spec || string(got.GM) != string(ckpt.GM) || got.Meta["salt"] != "test" {
+	if got.Spec != ckpt.Spec || !reflect.DeepEqual(got.Meta, []MetaEntry{{"salt", "test"}}) {
 		t.Fatalf("round trip mismatch: %+v", got)
+	}
+	if !reflect.DeepEqual(got.Regs, ckpt.Regs) {
+		t.Fatalf("GM records %+v, want %+v", got.Regs, ckpt.Regs)
+	}
+	if _, err := core.FromSnapshot(got.Regs[0].GM); err != nil {
+		t.Fatalf("stored GM does not restore: %v", err)
 	}
 	x := testInputs(1)[0]
 	a, b2 := predictSerial(t, ckpt, x), predictSerial(t, got, x)
@@ -399,5 +415,69 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if _, err := UnmarshalCheckpoint(nil); err == nil {
 		t.Fatal("expected error for empty blob")
+	}
+}
+
+// Equal models must encode to equal bytes, so the store's content hash
+// names the model: provenance is stored in key order, not map order.
+func TestCheckpointBytesDeterministic(t *testing.T) {
+	net, err := testSpec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := map[string]string{"dataset": "d", "seed": "1", "model": "mlp", "test_accuracy": "0.9", "regularizer": "gm"}
+	var first []byte
+	for i := 0; i < 20; i++ {
+		ckpt, err := NewCheckpoint(testSpec, net, nil, meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ckpt.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = b
+		} else if !bytes.Equal(b, first) {
+			t.Fatalf("marshal %d differs from the first", i)
+		}
+	}
+}
+
+// A checkpoint with a NaN weight is rejected where it enters the server: the
+// registry keeps serving the last good version and reports the error,
+// instead of swapping in a model whose every /predict fails to encode.
+func TestRegistryRejectsNonFiniteCheckpoint(t *testing.T) {
+	st := store.New()
+	key := "mlp-model"
+	v1, err := PutCheckpoint(st, key, makeCheckpoint(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry(st)
+	reg.Refresh()
+
+	bad := makeCheckpoint(t, 2)
+	bad.Groups[1].W[3] = math.NaN()
+	if _, err := PutCheckpoint(st, key, bad); err != nil {
+		t.Fatal(err)
+	}
+	reg.Refresh()
+	if m, ok := reg.Current(key); !ok || m.Version != v1 {
+		t.Fatalf("serving %+v after a NaN version, want %+v", m, v1)
+	}
+	ls := reg.List()
+	if len(ls) != 1 || !strings.Contains(ls[0].Err, "non-finite") {
+		t.Fatalf("List = %+v, want a non-finite error on %q", ls, key)
+	}
+
+	bad.Groups[1].W[3] = 0
+	bad.Stats = []train.StatState{{Name: "bn", Mean: []float64{math.Inf(1)}, Var: []float64{1}}}
+	b, err := bad.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalCheckpoint(b); err == nil || !strings.Contains(err.Error(), "non-finite") {
+		t.Fatalf("+Inf batch-norm statistic: got %v", err)
 	}
 }

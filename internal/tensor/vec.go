@@ -128,6 +128,16 @@ func Variance(x []float64) float64 {
 	return s / float64(len(x))
 }
 
+// AllFinite reports whether no element of xs is NaN or ±Inf.
+func AllFinite(xs ...float64) bool {
+	for _, v := range xs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // ArgMax returns the index of the largest element of x (first on ties).
 // It returns -1 for empty input.
 func ArgMax(x []float64) int {

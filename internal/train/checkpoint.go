@@ -498,16 +498,63 @@ func captureNetwork(cfg SGDConfig, shardSize int, net *nn.Network, opt *optimize
 		Augment:       cfg.Augment,
 		EpochLoss:     f64s(hist.EpochLoss),
 	}
-	vels := opt.vels
-	for i, p := range opt.Params {
-		st.Groups = append(st.Groups, GroupState{Name: p.Name, W: f64s(p.W), Vel: f64s(vels[i])})
-	}
-	for _, b := range net.BatchNorms() {
-		m, v := b.Stats()
-		st.Stats = append(st.Stats, StatState{Name: b.Name(), Mean: f64s(m), Var: f64s(v)})
+	st.Groups, st.Stats = CaptureWeights(net)
+	for i := range st.Groups {
+		st.Groups[i].Vel = f64s(opt.vels[i])
 	}
 	st.Regs, st.priors = captureRegs(opt.Regs)
 	return st
+}
+
+// CaptureWeights copies net's parameter groups (Vel nil) and batch-norm
+// running statistics in network order — the model part of a State, and the
+// whole weight payload of a serving checkpoint.
+func CaptureWeights(net *nn.Network) ([]GroupState, []StatState) {
+	var groups []GroupState
+	for _, p := range net.Params() {
+		groups = append(groups, GroupState{Name: p.Name, W: f64s(p.W)})
+	}
+	var stats []StatState
+	for _, b := range net.BatchNorms() {
+		m, v := b.Stats()
+		stats = append(stats, StatState{Name: b.Name(), Mean: f64s(m), Var: f64s(v)})
+	}
+	return groups, stats
+}
+
+// LoadWeights copies groups and stats, as CaptureWeights returns them, into
+// a network of the same architecture. Group and batch-norm counts, names and
+// lengths must all match, so architecture drift is an error rather than a
+// partial load. Vel is ignored.
+func LoadWeights(net *nn.Network, groups []GroupState, stats []StatState) error {
+	params := net.Params()
+	if len(groups) != len(params) {
+		return fmt.Errorf("train: checkpoint has %d parameter groups, network has %d",
+			len(groups), len(params))
+	}
+	for i, p := range params {
+		g := groups[i]
+		if g.Name != p.Name || len(g.W) != len(p.W) {
+			return fmt.Errorf("train: checkpoint group %d is %q[%d], network has %q[%d]",
+				i, g.Name, len(g.W), p.Name, len(p.W))
+		}
+		copy(p.W, g.W)
+	}
+	bns := net.BatchNorms()
+	if len(stats) != len(bns) {
+		return fmt.Errorf("train: checkpoint has %d batch-norm layers, network has %d",
+			len(stats), len(bns))
+	}
+	for i, b := range bns {
+		s := stats[i]
+		m, v := b.Stats()
+		if s.Name != b.Name() || len(s.Mean) != len(m) || len(s.Var) != len(v) {
+			return fmt.Errorf("train: checkpoint batch-norm %d is %q, network has %q", i, s.Name, b.Name())
+		}
+		copy(m, s.Mean)
+		copy(v, s.Var)
+	}
+	return nil
 }
 
 // captureRegs snapshots every adaptive regularizer in sorted group order,
@@ -545,33 +592,15 @@ func restoreNetwork(st *State, cfg SGDConfig, shardSize int, net *nn.Network, op
 	if err := checkEcho(st, KindNetwork, cfg, shardSize); err != nil {
 		return err
 	}
-	vels := opt.vels
-	if len(st.Groups) != len(opt.Params) {
-		return fmt.Errorf("train: checkpoint has %d parameter groups, network has %d",
-			len(st.Groups), len(opt.Params))
+	if err := LoadWeights(net, st.Groups, st.Stats); err != nil {
+		return err
 	}
-	for i, p := range opt.Params {
-		g := st.Groups[i]
-		if g.Name != p.Name || len(g.W) != len(p.W) || len(g.Vel) != len(vels[i]) {
-			return fmt.Errorf("train: checkpoint group %d is %q[%d], network has %q[%d]",
-				i, g.Name, len(g.W), p.Name, len(p.W))
+	for i, g := range st.Groups {
+		if len(g.Vel) != len(opt.vels[i]) {
+			return fmt.Errorf("train: checkpoint group %q has %d velocities, network has %d",
+				g.Name, len(g.Vel), len(opt.vels[i]))
 		}
-		copy(p.W, g.W)
-		copy(vels[i], g.Vel)
-	}
-	bns := net.BatchNorms()
-	if len(st.Stats) != len(bns) {
-		return fmt.Errorf("train: checkpoint has %d batch-norm layers, network has %d",
-			len(st.Stats), len(bns))
-	}
-	for i, b := range bns {
-		s := st.Stats[i]
-		m, v := b.Stats()
-		if s.Name != b.Name() || len(s.Mean) != len(m) || len(s.Var) != len(v) {
-			return fmt.Errorf("train: checkpoint batch-norm %d is %q, network has %q", i, s.Name, b.Name())
-		}
-		copy(m, s.Mean)
-		copy(v, s.Var)
+		copy(opt.vels[i], g.Vel)
 	}
 	if err := restoreRegs(st, opt.Regs); err != nil {
 		return err

@@ -189,8 +189,8 @@ func TestNetworkGhostBatchNorm(t *testing.T) {
 	requireSameWeights(t, "BN weights vs sequential", weightsOf(d1), weightsOf(seqNet))
 	requireSameWeights(t, "BN rerun", weightsOf(d1), weightsOf(d2))
 
-	m1, v1 := d1.BatchNorms()[0].RunningStats()
-	m2, v2 := d2.BatchNorms()[0].RunningStats()
+	m1, v1 := d1.BatchNorms()[0].Stats()
+	m2, v2 := d2.BatchNorms()[0].Stats()
 	for c := range m1 {
 		if m1[c] != m2[c] || v1[c] != v2[c] {
 			t.Fatalf("running stats not deterministic at channel %d", c)
